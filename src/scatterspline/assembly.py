@@ -18,8 +18,7 @@ from scipy import sparse
 
 from .bsplines import (
     KnotVector,
-    basis_derivatives,
-    basis_maximizer,
+    dim_maximizers,
     tensor_basis_rows,
     uniform_clamped_knots,
 )
@@ -165,18 +164,14 @@ def build_collocation(
     Each row holds the (p+1)^d locally supported basis values and sums to 1.
     """
     weights, cols = tensor_basis_rows(knots, params)
+    return _local_rows(weights, cols, int(np.prod([kv.n for kv in knots])))
+
+
+def _local_rows(weights: np.ndarray, cols: np.ndarray, n: int) -> sparse.csr_matrix:
+    """CSR matrix whose row i holds weights[i] at the ascending columns cols[i]."""
     m, local = weights.shape
-    n_tot = int(np.prod([kv.n for kv in knots]))
-    rows = np.repeat(np.arange(m), local)
-    mat = sparse.coo_matrix(
-        (weights.ravel(), (rows, cols.ravel())), shape=(m, n_tot)
-    )
-    return mat.tocsr()
-
-
-def dim_maximizers(kv: KnotVector) -> np.ndarray:
-    """Maximizer parameter of every 1-D basis function of one dimension."""
-    return np.array([basis_maximizer(kv, j) for j in range(kv.n)])
+    indptr = np.arange(0, m * local + 1, local)
+    return sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(m, n))
 
 
 def derivative_multi_indices(d: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -220,24 +215,10 @@ def build_penalty_block(
         maximizers = [dim_maximizers(kv) for kv in knots]
     block = None
     for kv, order, w_axis in zip(knots, delta, maximizers):
-        mat = _derivative_collocation_1d(kv, w_axis, order)
+        rows = tensor_basis_rows((kv,), np.reshape(w_axis, (-1, 1)), (order,))
+        mat = _local_rows(*rows, kv.n)
         block = mat if block is None else sparse.kron(block, mat, format="csr")
     return block.tocsr()
-
-
-def _derivative_collocation_1d(
-    kv: KnotVector, points: np.ndarray, order: int
-) -> sparse.csr_matrix:
-    n = kv.n
-    rows, cols, vals = [], [], []
-    for i, u in enumerate(points):
-        ders, first = basis_derivatives(kv, float(u), order)
-        for offset in range(kv.degree + 1):
-            rows.append(i)
-            cols.append(first + offset)
-            vals.append(ders[order, offset])
-    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(len(points), n))
-    return mat.tocsr()
 
 
 def stack_penalty(

@@ -7,6 +7,7 @@ done in parameter space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +21,11 @@ __all__ = [
     "basis_values",
     "basis_values_many",
     "basis_derivatives",
+    "basis_derivatives_many",
     "basis_value_single",
     "basis_derivative_single",
     "basis_maximizer",
+    "dim_maximizers",
     "lex_rank",
     "lex_unrank",
     "eval_model",
@@ -33,7 +36,6 @@ __all__ = [
 ]
 
 _MAXIMIZER_TOL = 1e-10
-_MAXIMIZER_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,27 +95,17 @@ def uniform_clamped_knots(n: int, p: int) -> KnotVector:
     return KnotVector(p, knots)
 
 
-def _check_param(u: float) -> float:
-    u = float(u)
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"parameter {u} outside [0, 1]")
-    return u
-
-
 def find_span(kv: KnotVector, u: float) -> int:
     """Index i of the knot interval with t_i <= u < t_{i+1}.
 
     u = 1 maps to the last non-degenerate interval so that evaluation at the
     right endpoint never indexes past the clamp.
     """
-    u = _check_param(u)
+    u = float(u)
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"parameter {u} outside [0, 1]")
     span = int(np.searchsorted(kv.knots, u, side="right")) - 1
     return min(max(span, kv.degree), kv.n - 1)
-
-
-def _find_span_many(kv: KnotVector, u: np.ndarray) -> np.ndarray:
-    spans = np.searchsorted(kv.knots, u, side="right") - 1
-    return np.clip(spans, kv.degree, kv.n - 1)
 
 
 def basis_values(kv: KnotVector, u: float) -> tuple[np.ndarray, int]:
@@ -125,30 +117,9 @@ def basis_values(kv: KnotVector, u: float) -> tuple[np.ndarray, int]:
         N_{first}, ..., N_{first+p} evaluated at u.
     first : int
         Index of the first locally supported basis function (span - p).
-
-    Notes
-    -----
-    Standard triangular (Cox-de Boor) recursion; all divisions are by knot
-    differences spanning the non-degenerate interval found by
-    :func:`find_span`, so no zero denominators occur.
     """
-    span = find_span(kv, u)
-    p = kv.degree
-    t = kv.knots
-    values = np.zeros(p + 1)
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    values[0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = u - t[span + 1 - j]
-        right[j] = t[span + j] - u
-        saved = 0.0
-        for r in range(j):
-            temp = values[r] / (right[r + 1] + left[j - r])
-            values[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        values[j] = saved
-    return values, span - p
+    ders, first = basis_derivatives(kv, u, 0)
+    return ders[0], first
 
 
 def basis_values_many(kv: KnotVector, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,27 +127,8 @@ def basis_values_many(kv: KnotVector, u: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Returns the (m, p+1) value table and the (m,) array of first indices.
     """
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.size and (u.min() < 0.0 or u.max() > 1.0):
-        raise ValueError("parameters outside [0, 1]")
-    p = kv.degree
-    t = kv.knots
-    spans = _find_span_many(kv, u)
-    m = u.size
-    values = np.zeros((m, p + 1))
-    left = np.zeros((m, p + 1))
-    right = np.zeros((m, p + 1))
-    values[:, 0] = 1.0
-    for j in range(1, p + 1):
-        left[:, j] = u - t[spans + 1 - j]
-        right[:, j] = t[spans + j] - u
-        saved = np.zeros(m)
-        for r in range(j):
-            temp = values[:, r] / (right[:, r + 1] + left[:, j - r])
-            values[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        values[:, j] = saved
-    return values, spans - p
+    ders, first = basis_derivatives_many(kv, u, 0)
+    return ders[0], first
 
 
 def basis_derivatives(kv: KnotVector, u: float, order: int) -> tuple[np.ndarray, int]:
@@ -192,62 +144,150 @@ def basis_derivatives(kv: KnotVector, u: float, order: int) -> tuple[np.ndarray,
     -------
     ders : ndarray, shape (order+1, p+1)
         Row k holds the k-th derivatives of N_{first}..N_{first+p} at u;
-        row 0 equals :func:`basis_values`.
+        row 0 holds the basis values.
     first : int
         Index of the first locally supported basis function.
+
+    Notes
+    -----
+    The NURBS Book's algorithm A2.3 (Piegl & Tiller) on Python floats; it is
+    the scalar reference for :func:`basis_derivatives_many`. All divisions are
+    by knot differences spanning the non-degenerate interval found by
+    :func:`find_span`, so no zero denominators occur.
     """
     p = kv.degree
     if not 0 <= order <= p:
         raise ValueError(f"derivative order {order} outside [0, {p}]")
     span = find_span(kv, u)
-    t = kv.knots
+    u = float(u)
+    t = kv.knots.tolist()
 
     # triangle of basis values plus the knot differences it divides by
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
-    ndu[0, 0] = 1.0
+    ndu = [[0.0] * (p + 1) for _ in range(p + 1)]
+    left = [0.0] * (p + 1)
+    right = [0.0] * (p + 1)
+    ndu[0][0] = 1.0
     for j in range(1, p + 1):
         left[j] = u - t[span + 1 - j]
         right[j] = t[span + j] - u
         saved = 0.0
         for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
+            ndu[j][r] = right[r + 1] + left[j - r]
+            temp = ndu[r][j - 1] / ndu[j][r]
+            ndu[r][j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
-        ndu[j, j] = saved
+        ndu[j][j] = saved
 
-    ders = np.zeros((order + 1, p + 1))
-    ders[0] = ndu[:, p]
-
-    a = np.zeros((2, p + 1))
+    ders = [[row[p] for row in ndu]] + [[0.0] * (p + 1) for _ in range(order)]
+    a = [[0.0] * (p + 1) for _ in range(2)]
     for r in range(p + 1):
         s1, s2 = 0, 1
-        a[0, 0] = 1.0
+        a[0][0] = 1.0
         for k in range(1, order + 1):
             der = 0.0
             rk = r - k
             pk = p - k
             if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                der = a[s2, 0] * ndu[rk, pk]
+                a[s2][0] = a[s1][0] / ndu[pk + 1][rk]
+                der = a[s2][0] * ndu[rk][pk]
             j1 = 1 if rk >= -1 else -rk
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                der += a[s2, j] * ndu[rk + j, pk]
+                a[s2][j] = (a[s1][j] - a[s1][j - 1]) / ndu[pk + 1][rk + j]
+                der += a[s2][j] * ndu[rk + j][pk]
             if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                der += a[s2, k] * ndu[r, pk]
-            ders[k, r] = der
+                a[s2][k] = -a[s1][k - 1] / ndu[pk + 1][r]
+                der += a[s2][k] * ndu[r][pk]
+            ders[k][r] = der
             s1, s2 = s2, s1
 
+    ders = np.array(ders)
     factor = float(p)
     for k in range(1, order + 1):
         ders[k] *= factor
         factor *= p - k
     return ders, span - p
+
+
+def basis_derivatives_many(
+    kv: KnotVector, u: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`basis_derivatives` over a 1-D array of parameters.
+
+    Returns
+    -------
+    ders : ndarray, shape (order+1, m, p+1)
+        ders[k, i] holds the k-th derivatives of the p+1 basis functions
+        that are nonzero at u[i].
+    first : ndarray, shape (m,)
+        Index of the first of them per parameter.
+
+    Notes
+    -----
+    The same arithmetic as :func:`basis_derivatives` (algorithms A2.2 and
+    A2.3 of The NURBS Book), run on whole columns of parameters at once.
+    Derivative order k reads the value table of degree p - k and the knot
+    differences of the step after it; only those tables are kept.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError("parameters outside [0, 1]")
+    p = kv.degree
+    if not 0 <= order <= p:
+        raise ValueError(f"derivative order {order} outside [0, {p}]")
+    t = kv.knots
+    spans = np.clip(np.searchsorted(t, u, side="right") - 1, p, kv.n - 1)
+
+    # values holds one array per local index at the current degree j;
+    # tables[j] and dens[j] keep degree j's values and the knot differences
+    # its step divided by, for the degrees the derivatives read
+    values = [np.ones(u.size)]
+    tables, dens = {0: values}, {}
+    left = [None] + [u - t[spans + 1 - j] for j in range(1, p + 1)]
+    right = [None] + [t[spans + j] - u for j in range(1, p + 1)]
+    for j in range(1, p + 1):
+        saved = 0.0
+        new, den_j = [], []
+        for r in range(j):
+            den_j.append(right[r + 1] + left[j - r])
+            temp = values[r] / den_j[r]
+            new.append(saved + right[r + 1] * temp)
+            saved = left[j - r] * temp
+        new.append(saved)
+        values = new
+        if j >= p - order:
+            tables[j] = values
+            dens[j] = den_j
+
+    ders = np.empty((order + 1, u.size, p + 1))
+    for r in range(p + 1):
+        ders[0, :, r] = values[r]
+        a_prev = [1.0]
+        for k in range(1, order + 1):
+            rk = r - k
+            pk = p - k
+            ndu, den = tables[pk], dens[pk + 1]
+            a = [0.0] * (k + 1)
+            der = 0.0
+            if r >= k:
+                a[0] = a_prev[0] / den[rk]
+                der = a[0] * ndu[rk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[j] = (a_prev[j] - a_prev[j - 1]) / den[rk + j]
+                der += a[j] * ndu[rk + j]
+            if r <= pk:
+                a[k] = -a_prev[k - 1] / den[r]
+                der += a[k] * ndu[r]
+            ders[k, :, r] = der
+            a_prev = a
+
+    factor = float(p)
+    for k in range(1, order + 1):
+        ders[k] *= factor
+        factor *= p - k
+    return ders, spans - p
 
 
 def basis_value_single(kv: KnotVector, j: int, u: float) -> float:
@@ -268,37 +308,41 @@ def basis_derivative_single(kv: KnotVector, j: int, u: float, order: int) -> flo
     return 0.0
 
 
+def dim_maximizers(kv: KnotVector) -> np.ndarray:
+    """Parameter where each basis function of one dimension peaks.
+
+    The end functions peak at the clamped endpoints. Interior functions are
+    unimodal on their support [t_j, t_{j+p+1}]; one bisection on the sign of
+    their first derivatives locates all of them at once, to absolute
+    tolerance 1e-10. Degree-0 functions are flat on one interval; the
+    midpoint is returned.
+    """
+    n, p = kv.n, kv.degree
+    j = np.arange(1, n - 1)
+    lo = kv.knots[j]
+    hi = kv.knots[j + p + 1]
+    if p > 0:
+        rows = np.arange(j.size)
+        while np.any(hi - lo > _MAXIMIZER_TOL):
+            mid = 0.5 * (lo + hi)
+            ders, first = basis_derivatives_many(kv, mid, 1)
+            rising = ders[1, rows, j - first] > 0.0
+            lo = np.where(rising, mid, lo)
+            hi = np.where(rising, hi, mid)
+    out = np.zeros(n)
+    out[1:] = 1.0
+    out[1:-1] = 0.5 * (lo + hi)
+    return out
+
+
 def basis_maximizer(kv: KnotVector, j: int) -> float:
     """Parameter where basis function j attains its maximum.
 
-    The end functions peak at the clamped endpoints; interior functions are
-    unimodal on their support [t_j, t_{j+p+1}] and are located by ternary
-    search to absolute tolerance 1e-10 (at most 200 iterations). Degree-0
-    functions are flat on one interval; the midpoint is returned.
+    See :func:`dim_maximizers`, which finds them for every j at once.
     """
-    n = kv.n
-    if not 0 <= j < n:
-        raise IndexError(f"basis index {j} outside [0, {n})")
-    if j == 0:
-        return 0.0
-    if j == n - 1:
-        return 1.0
-    p = kv.degree
-    a = float(kv.knots[j])
-    b = float(kv.knots[j + p + 1])
-    if p == 0:
-        return 0.5 * (a + b)
-    for _ in range(_MAXIMIZER_MAX_ITER):
-        if b - a <= _MAXIMIZER_TOL:
-            break
-        third = (b - a) / 3.0
-        m1 = a + third
-        m2 = b - third
-        if basis_value_single(kv, j, m1) < basis_value_single(kv, j, m2):
-            a = m1
-        else:
-            b = m2
-    return 0.5 * (a + b)
+    if not 0 <= j < kv.n:
+        raise IndexError(f"basis index {j} outside [0, {kv.n})")
+    return float(dim_maximizers(kv)[j])
 
 
 @dataclass(frozen=True)
@@ -416,37 +460,9 @@ class SplineModel:
         return (coords - self.bbox_min) / (self.bbox_max - self.bbox_min)
 
 
-def _local_weights_and_ranks(model, u, orders):
-    """(p+1)^d local tensor weights and their flat control-row indices."""
-    p = model.degree
-    shape = model.shape
-    factors = []
-    firsts = []
-    for k, kv in enumerate(model.knot_vectors):
-        if orders[k] == 0:
-            vals, first = basis_values(kv, u[k])
-        else:
-            ders, first = basis_derivatives(kv, u[k], orders[k])
-            vals = ders[orders[k]]
-        factors.append(vals)
-        firsts.append(first)
-    w = factors[0]
-    for vals in factors[1:]:
-        w = np.multiply.outer(w, vals)
-    local = np.meshgrid(
-        *[first + np.arange(p + 1) for first in firsts], indexing="ij"
-    )
-    flat = np.ravel_multi_index([g.ravel() for g in local], shape)
-    return w.ravel(), flat
-
-
 def eval_model(model: SplineModel, u) -> np.ndarray:
     """Model value at parameter tuple u, summing only local basis functions."""
-    u = [_check_param(c) for c in np.atleast_1d(np.asarray(u, dtype=float))]
-    if len(u) != model.d:
-        raise ValueError(f"parameter tuple has {len(u)} components, expected {model.d}")
-    w, flat = _local_weights_and_ranks(model, u, [0] * model.d)
-    return w @ model.controls[flat]
+    return eval_model_derivative(model, u, (0,) * model.d)
 
 
 def eval_model_derivative(model: SplineModel, u, delta) -> np.ndarray:
@@ -455,22 +471,20 @@ def eval_model_derivative(model: SplineModel, u, delta) -> np.ndarray:
     delta gives the derivative order per dimension; each component must not
     exceed the degree (higher derivatives vanish identically).
     """
-    u = [_check_param(c) for c in np.atleast_1d(np.asarray(u, dtype=float))]
-    delta = tuple(int(o) for o in delta)
-    if len(u) != model.d or len(delta) != model.d:
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.shape != (model.d,) or len(delta) != model.d:
         raise ValueError(f"expected {model.d}-component parameter and order tuples")
-    p = model.degree
-    for o in delta:
-        if not 0 <= o <= p:
-            raise ValueError(f"derivative order {o} outside [0, {p}]")
-    w, flat = _local_weights_and_ranks(model, u, list(delta))
-    return w @ model.controls[flat]
+    w, cols = tensor_basis_rows(model.knot_vectors, u[None, :], delta)
+    return w[0] @ model.controls[cols[0]]
 
 
 def tensor_basis_rows(
-    knot_vectors: tuple[KnotVector, ...], params: np.ndarray
+    knot_vectors: tuple[KnotVector, ...], params: np.ndarray, delta=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local tensor-product basis values for a batch of parameter tuples.
+
+    delta, the derivative order per dimension, defaults to all zeros; with it
+    the weights are the delta-partials of the basis functions instead.
 
     Returns
     -------
@@ -484,20 +498,21 @@ def tensor_basis_rows(
     d = len(knot_vectors)
     if params.ndim != 2 or params.shape[1] != d:
         raise ValueError(f"expected (m, {d}) parameter array")
-    p = knot_vectors[0].degree
-    shape = tuple(kv.n for kv in knot_vectors)
+    delta = (0,) * d if delta is None else tuple(int(o) for o in delta)
+    if len(delta) != d:
+        raise ValueError(f"expected a {d}-component derivative order")
     m = params.shape[0]
-    tables = [basis_values_many(kv, params[:, k]) for k, kv in enumerate(knot_vectors)]
-    w = tables[0][0]
-    for vals, _ in tables[1:]:
-        w = (w[:, :, None] * vals[:, None, :]).reshape(m, -1)
-    offsets = np.stack(
-        np.meshgrid(*[np.arange(p + 1)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    firsts = np.stack([t[1] for t in tables], axis=1)
-    cols = firsts[:, None, :] + offsets[None, :, :]
-    flat = np.ravel_multi_index(np.moveaxis(cols, -1, 0), shape)
-    return w, flat
+    shape = [kv.n for kv in knot_vectors]
+    # flat rank = sum_k (first_k + offset_k) * stride_k, row-major strides
+    w, first_rank, offsets = None, 0, np.zeros(1, dtype=np.intp)
+    for k, (kv, order) in enumerate(zip(knot_vectors, delta)):
+        ders, first = basis_derivatives_many(kv, params[:, k], order)
+        vals = ders[order]
+        w = vals if w is None else (w[:, :, None] * vals[:, None, :]).reshape(m, -1)
+        stride = math.prod(shape[k + 1:])
+        first_rank = first_rank + first * stride
+        offsets = (offsets[:, None] + stride * np.arange(kv.degree + 1)).ravel()
+    return w, first_rank[:, None] + offsets
 
 
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:

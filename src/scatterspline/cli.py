@@ -24,6 +24,7 @@ from .datasets import (
     grid_to_cloud,
     polysinc,
     read_csv,
+    read_points,
     resample_grid,
     write_csv,
 )
@@ -327,48 +328,14 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _read_points(path, d):
-    """Coordinates from a CSV whose header starts x1..xk; v columns ignored."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
-        raise CsvParseError(f"{path}: empty file (missing header)")
-    fields = [f.strip() for f in rows[0][1].split(",")]
-    k = 0
-    while k < len(fields) and fields[k] == f"x{k + 1}":
-        k += 1
-    if k == 0:
-        raise CsvParseError(f"{path}: line 1: header must start with x1,x2,..")
-    if k != d:
-        raise ValueError(f"{path} has {k}-dimensional points, model wants {d}")
-    width = len(fields)
-    coords = np.empty((len(rows) - 1, d))
-    for out_row, (line_number, line) in enumerate(rows[1:]):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise CsvParseError(
-                f"{path}: line {line_number}: expected {width} fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            coords[out_row] = [float(p) for p in parts[:d]]
-        except ValueError as exc:
-            raise CsvParseError(f"{path}: line {line_number}: {exc}") from None
-    if coords.shape[0] == 0:
-        raise CsvParseError(f"{path}: no data rows")
-    return coords
-
-
 def _cmd_eval(args) -> int:
     model, _ = load_model(args.model)
     if args.grid is not None:
         axes, values = resample_grid(model, args.grid)
         cloud = grid_to_cloud(axes, values)
     else:
-        coords = _read_points(args.points, model.d)
-        span = model.bbox_max - model.bbox_min
-        params = (coords - model.bbox_min) / span
+        coords = read_points(args.points, model.d)
+        params = model.to_params(coords)
         if np.any(params < 0.0) or np.any(params > 1.0):
             raise ValueError("points fall outside the model's bounding box")
         cloud = PointCloud(coords, eval_model_many(model, params))

@@ -26,6 +26,7 @@ __all__ = [
     "generate_polysinc_cloud",
     "generate_annulus_cloud",
     "read_csv",
+    "read_points",
     "write_csv",
     "resample_grid",
     "grid_to_cloud",
@@ -213,16 +214,19 @@ class CsvParseError(ValueError):
     """Malformed point-cloud CSV; the message carries the 1-based line number."""
 
 
+def _count_numbered(fields, letter, start=0):
+    """How many fields from start read letter1, letter2, ... in order."""
+    count = 0
+    for name in fields[start:]:
+        if name != f"{letter}{count + 1}":
+            break
+        count += 1
+    return count
+
+
 def _parse_header(fields, path):
-    d = 0
-    while d < len(fields) and fields[d] == f"x{d + 1}":
-        d += 1
-    num_values = 0
-    while (
-        d + num_values < len(fields)
-        and fields[d + num_values] == f"v{num_values + 1}"
-    ):
-        num_values += 1
+    d = _count_numbered(fields, "x")
+    num_values = _count_numbered(fields, "v", d)
     if d == 0 or num_values == 0 or d + num_values != len(fields):
         raise CsvParseError(
             f"{path}: line 1: header must be x1,..,xd,v1,..,vD "
@@ -231,12 +235,13 @@ def _parse_header(fields, path):
     return d, num_values
 
 
-def read_csv(path) -> PointCloud:
-    """Read a point cloud from `x1,..,xd,v1,..,vD` CSV.
+def _read_table(path, parse_header) -> tuple[tuple[int, ...], np.ndarray]:
+    """Numeric rows of a CSV file; every error names the 1-based line.
 
-    The bounding box is the tight hull of the coordinates. Raises
-    CsvParseError (with the offending line number) for a missing or malformed
-    header, ragged rows, or non-numeric fields.
+    parse_header(fields) checks the header and returns the sizes of the
+    leading column groups to convert; they are returned with the data. Each
+    data row must have as many fields as the header, and every converted
+    value must be finite.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -247,9 +252,10 @@ def read_csv(path) -> PointCloud:
     if first_number != 1:
         raise CsvParseError(f"{path}: line 1: missing header")
     fields = [f.strip() for f in header.split(",")]
-    d, num_values = _parse_header(fields, path)
-    width = d + num_values
-    data = np.empty((len(rows) - 1, width))
+    groups = parse_header(fields)
+    keep = sum(groups)
+    width = len(fields)
+    data = np.empty((len(rows) - 1, keep))
     for out_row, (line_number, line) in enumerate(rows[1:]):
         parts = line.split(",")
         if len(parts) != width:
@@ -258,12 +264,45 @@ def read_csv(path) -> PointCloud:
                 f"got {len(parts)}"
             )
         try:
-            data[out_row] = [float(part) for part in parts]
+            data[out_row] = [float(part) for part in parts[:keep]]
         except ValueError as exc:
             raise CsvParseError(f"{path}: line {line_number}: {exc}") from None
     if data.shape[0] == 0:
         raise CsvParseError(f"{path}: no data rows")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        line_number = rows[1 + int(np.argmin(finite))][0]
+        raise CsvParseError(f"{path}: line {line_number}: non-finite value")
+    return groups, data
+
+
+def read_csv(path) -> PointCloud:
+    """Read a point cloud from `x1,..,xd,v1,..,vD` CSV.
+
+    The bounding box is the tight hull of the coordinates. Raises
+    CsvParseError (with the offending line number) for a missing or malformed
+    header, ragged rows, or non-numeric or non-finite fields.
+    """
+    (d, _), data = _read_table(path, lambda fields: _parse_header(fields, path))
     return PointCloud(data[:, :d], data[:, d:])
+
+
+def read_points(path, d: int) -> np.ndarray:
+    """Coordinates from a CSV whose header starts x1..xd; other columns are ignored.
+
+    Raises CsvParseError like :func:`read_csv`, and ValueError when the file
+    holds points of another dimension.
+    """
+
+    def parse_header(fields):
+        k = _count_numbered(fields, "x")
+        if k == 0:
+            raise CsvParseError(f"{path}: line 1: header must start with x1,x2,..")
+        if k != d:
+            raise ValueError(f"{path} has {k}-dimensional points, model wants {d}")
+        return (d,)
+
+    return _read_table(path, parse_header)[1]
 
 
 def write_csv(cloud: PointCloud, path) -> None:

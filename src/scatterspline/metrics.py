@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LinearSystem, PointCloud
-from .bsplines import SplineModel, eval_model_grid, tensor_basis_rows
+from .bsplines import SplineModel, eval_model_grid, eval_model_many
 
 __all__ = [
     "RegionOfInterest",
@@ -108,19 +108,15 @@ def pointwise_errors(model: SplineModel, reference, roi=None, grid_shape=None):
         coords = coords[mask]
         if coords.shape[0] == 0:
             raise ValueError("no sample points in the region")
-        params = (coords - model.bbox_min) / (model.bbox_max - model.bbox_min)
-        weights, ranks = tensor_basis_rows(model.knot_vectors, params)
-        predicted = np.einsum("ml,mlv->mv", weights, model.controls[ranks])
+        predicted = eval_model_many(model, model.to_params(coords))
         return _stats(predicted - reference.values[mask])
 
     counts = _grid_counts(grid_shape, model.d)
     if any(g < 2 for g in counts):
         raise ValueError("need at least 2 grid points per dimension")
     axes = [np.linspace(lo[k], hi[k], counts[k]) for k in range(model.d)]
-    span = model.bbox_max - model.bbox_min
-    param_axes = [
-        (axes[k] - model.bbox_min[k]) / span[k] for k in range(model.d)
-    ]
+    # ax[:, None] broadcasts against every box dimension; column k is axis k
+    param_axes = [model.to_params(ax[:, None])[:, k] for k, ax in enumerate(axes)]
     predicted = eval_model_grid(model, param_axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([g.ravel() for g in mesh], axis=1)

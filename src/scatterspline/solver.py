@@ -204,14 +204,9 @@ def solve(
 
 def _cg(matrix, b, rtol, maxiter):
     counter = _IterationCounter()
-    try:
-        x, info = sparse_linalg.cg(
-            matrix, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=counter
-        )
-    except TypeError:  # scipy < 1.12 spells the tolerance differently
-        x, info = sparse_linalg.cg(
-            matrix, b, tol=rtol, atol=0.0, maxiter=maxiter, callback=counter
-        )
+    x, info = sparse_linalg.cg(
+        matrix, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=counter
+    )
     return x, info, counter.count
 
 

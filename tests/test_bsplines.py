@@ -8,6 +8,8 @@ evaluation, central finite differences) implemented here in plain numpy.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import BSpline
+from scipy.optimize import brentq
 
 from scatterspline.bsplines import (
     IndexSet,
@@ -15,6 +17,7 @@ from scatterspline.bsplines import (
     SplineModel,
     basis_derivative_single,
     basis_derivatives,
+    basis_derivatives_many,
     basis_maximizer,
     basis_value_single,
     basis_values,
@@ -170,13 +173,27 @@ class TestBasisValues:
         np.testing.assert_allclose(vals, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_many_matches_scalar(self):
-        kv = uniform_clamped_knots(8, 3)
-        us = np.linspace(0.0, 1.0, 57)
-        vals, first = basis_values_many(kv, us)
-        for i, u in enumerate(us):
-            v, f = basis_values(kv, u)
-            assert f == first[i]
-            np.testing.assert_allclose(vals[i], v, atol=1e-15)
+        # the array kernel runs the scalar recursion's arithmetic, so every
+        # derivative order must agree exactly, at knots and at 0 and 1 too
+        rng = np.random.default_rng(12)
+        for p in range(1, 6):
+            nonuniform = KnotVector(
+                p, [0.0] * (p + 1) + [0.05, 0.3, 0.31, 0.7] + [1.0] * (p + 1)
+            )
+            for kv in (uniform_clamped_knots(p + 6, p), nonuniform):
+                us = np.concatenate(
+                    [np.linspace(0.0, 1.0, 57), kv.knots, rng.uniform(size=20)]
+                )
+                vals, first = basis_values_many(kv, us)
+                for order in range(p + 1):
+                    ders, first_many = basis_derivatives_many(kv, us, order)
+                    np.testing.assert_array_equal(first_many, first)
+                    for i, u in enumerate(us):
+                        ref, f = basis_derivatives(kv, u, order)
+                        assert f == first[i]
+                        np.testing.assert_array_equal(ders[:, i], ref)
+                for i, u in enumerate(us):
+                    np.testing.assert_array_equal(vals[i], basis_values(kv, u)[0])
 
     @given(st.integers(1, 5), st.integers(0, 8), st.floats(0.0, 1.0))
     @settings(max_examples=200)
@@ -301,6 +318,20 @@ class TestBasisMaximizer:
         kv = uniform_clamped_knots(4, 2)
         with pytest.raises(IndexError):
             basis_maximizer(kv, 4)
+
+    def test_within_tolerance_of_derivative_root(self):
+        # the documented 1e-10 from the root of the basis derivative
+        for n, p in [(12, 3), (48, 4), (12, 2), (10, 5), (7, 1)]:
+            kv = uniform_clamped_knots(n, p)
+            for j in range(1, n - 1):
+                coeffs = np.zeros(n)
+                coeffs[j] = 1.0
+                slope = BSpline(kv.knots, coeffs, p).derivative()
+                a, b = kv.knots[j], kv.knots[j + p + 1]
+                # from degree 2 on the slope also vanishes at the support ends
+                margin = 1e-3 * (b - a)
+                root = brentq(slope, a + margin, b - margin)
+                assert abs(basis_maximizer(kv, j) - root) <= 1e-10, (n, p, j)
 
     def test_stationary_or_endpoint(self):
         eps = 1e-6

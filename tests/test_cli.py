@@ -298,6 +298,25 @@ class TestFit:
         )
         assert code == 2
 
+    def test_non_finite_input_is_io_error(self, tmp_path, capsys):
+        # a nan value and an inf coordinate, each on line 5 of the file
+        for bad_row in ("0.5,1.5,nan", "inf,1.5,0.25"):
+            data = tmp_path / "d.csv"
+            spline_csv(data)
+            lines = data.read_text().splitlines()
+            lines[4] = bad_row
+            data.write_text("\n".join(lines) + "\n")
+            code = main(
+                [
+                    "fit", "--input", str(data), "--degree", "3",
+                    "--ctrl", "6,6", "--out", str(tmp_path / "m.model"),
+                ]
+            )
+            err = capsys.readouterr().err.splitlines()
+            assert code == 4, bad_row
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "line 5" in err[0]
+
     def test_invalid_orders_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         spline_csv(data)
@@ -379,6 +398,19 @@ class TestEval:
                      "--out", str(tmp_path / "v.csv")])
         assert code == 2
         assert "bounding box" in capsys.readouterr().err
+
+    def test_malformed_points_file_is_io_error(self, tmp_path, capsys):
+        model_path = self._fitted(tmp_path)
+        capsys.readouterr()
+        pts = tmp_path / "p.csv"
+        for body in ("0,2\n0,2,3\n", "0,2\n0,two\n", "0,2\n-inf,2\n"):
+            pts.write_text("x1,x2\n" + body)
+            code = main(["eval", "--model", str(model_path), "--points", str(pts),
+                         "--out", str(tmp_path / "v.csv")])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 4, body
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert "line 3" in err[0]
 
     def test_dimension_mismatch(self, tmp_path, capsys):
         model_path = self._fitted(tmp_path)

@@ -286,6 +286,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="line 3"):
             read_csv(path)
 
+    def test_non_finite_value_reports_line(self, tmp_path):
+        path = tmp_path / "nf.csv"
+        for body, line in (("0,0,1\n0.5,1,nan\n", 3), ("0,0,1\n1,1,2\ninf,0,1\n", 4)):
+            path.write_text("x1,x2,v1\n" + body)
+            with pytest.raises(CsvParseError, match=f"line {line}: non-finite"):
+                read_csv(path)
+
     def test_non_numeric_reports_line(self, tmp_path):
         path = tmp_path / "nn.csv"
         path.write_text("x1,v1\n0,1\n0.5,oops\n")
