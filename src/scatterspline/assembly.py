@@ -19,6 +19,7 @@ from scipy import sparse
 from .bsplines import (
     KnotVector,
     dim_maximizers,
+    owned_finite,
     tensor_basis_rows,
     uniform_clamped_knots,
 )
@@ -54,8 +55,8 @@ class PointCloud:
     bbox_max: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(self.coords, dtype=float)
-        values = np.ascontiguousarray(self.values, dtype=float)
+        coords = owned_finite(self.coords, "coords")
+        values = owned_finite(self.values, "values")
         if coords.ndim != 2:
             raise ValueError("coords must be (m, d)")
         if values.ndim == 1:
@@ -67,8 +68,8 @@ class PointCloud:
         d = coords.shape[1]
         lo = self.bbox_min
         hi = self.bbox_max
-        lo = coords.min(axis=0) if lo is None else np.ascontiguousarray(lo, dtype=float)
-        hi = coords.max(axis=0) if hi is None else np.ascontiguousarray(hi, dtype=float)
+        lo = coords.min(axis=0) if lo is None else owned_finite(lo, "bbox_min")
+        hi = coords.max(axis=0) if hi is None else owned_finite(hi, "bbox_max")
         if lo.shape != (d,) or hi.shape != (d,):
             raise ValueError("bounding box must have one (min, max) per dimension")
         if np.any(lo >= hi):

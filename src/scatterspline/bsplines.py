@@ -36,6 +36,24 @@ __all__ = [
 ]
 
 _MAXIMIZER_TOL = 1e-10
+# rows per block in eval_model_many; bounds the gathered (rows, (p+1)^d, D_v)
+# control array
+_EVAL_BLOCK = 8192
+
+
+def owned_finite(x, name: str) -> np.ndarray:
+    """x as a C-contiguous float64 array that shares no memory with x.
+
+    The caller's own array is copied, so freezing the result leaves it
+    writable. Raises ValueError naming the field when an entry is NaN or
+    infinite.
+    """
+    arr = np.ascontiguousarray(x, dtype=float)
+    if np.may_share_memory(arr, x):
+        arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +75,7 @@ class KnotVector:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        knots = np.ascontiguousarray(self.knots, dtype=float)
+        knots = owned_finite(self.knots, "knots")
         if knots.ndim != 1:
             raise ValueError("knots must be a 1-D sequence")
         p = self.degree
@@ -413,7 +431,7 @@ class SplineModel:
         degrees = {kv.degree for kv in kvs}
         if len(degrees) != 1:
             raise ValueError("all knot vectors must share one degree")
-        controls = np.ascontiguousarray(self.controls, dtype=float)
+        controls = owned_finite(self.controls, "controls")
         if controls.ndim != 2:
             raise ValueError("controls must be (n_tot, D_v)")
         n_tot = int(np.prod([kv.n for kv in kvs]))
@@ -421,8 +439,8 @@ class SplineModel:
             raise ValueError(
                 f"control rows {controls.shape[0]} != product of basis counts {n_tot}"
             )
-        lo = np.ascontiguousarray(self.bbox_min, dtype=float)
-        hi = np.ascontiguousarray(self.bbox_max, dtype=float)
+        lo = owned_finite(self.bbox_min, "bbox_min")
+        hi = owned_finite(self.bbox_max, "bbox_max")
         if lo.shape != (len(kvs),) or hi.shape != (len(kvs),):
             raise ValueError("bounding box must have one (min, max) per dimension")
         if np.any(lo >= hi):
@@ -516,9 +534,20 @@ def tensor_basis_rows(
 
 
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
-    """Evaluate at m parameter tuples, returned as (m, D_v)."""
-    w, flat = tensor_basis_rows(model.knot_vectors, params)
-    return np.einsum("ml,mlv->mv", w, model.controls[flat])
+    """Evaluate at m parameter tuples, returned as (m, D_v).
+
+    Rows are evaluated in blocks of _EVAL_BLOCK, so memory stays bounded
+    whatever m is.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2:
+        raise ValueError(f"expected (m, {model.d}) parameter array")
+    out = np.empty((params.shape[0], model.num_values))
+    for start in range(0, max(params.shape[0], 1), _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        w, flat = tensor_basis_rows(model.knot_vectors, params[block])
+        out[block] = np.einsum("ml,mlv->mv", w, model.controls[flat])
+    return out
 
 
 def eval_model_grid(model: SplineModel, axes) -> np.ndarray:

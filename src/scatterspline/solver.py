@@ -1,16 +1,18 @@
 """Solvers and conditioning diagnostics for the assembled normal system.
 
-The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly
-(it is symmetric positive semidefinite and banded by local support) and
-either factorized directly or solved by conjugate gradients, one value
-component at a time against the same factorization/operator.
+The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly.
+It is symmetric and, in lexicographic control order, banded with bandwidth
+p*(n_2*...*n_d) + ... + p, so one banded Cholesky factorization (LAPACK
+pbtrf through scipy.linalg.cholesky_banded) serves the direct solve of every
+value component at once and the condition estimate. Conjugate gradients is
+the alternative for large systems.
 
-A sparse LU factorization is judged numerically singular when its pivot
-ratio min|diag U| / max|diag U| falls below 1e-12 (_PIVOT_RATIO). The direct
-solve raises RankDeficientError and the condition estimate returns math.inf.
-Otherwise the extremal eigenvalues of the Gram matrix come from Lanczos
-(eigsh): lambda_max on the matrix itself and 1/lambda_min on its inverse,
-applied through the same factorization.
+A factorization is judged numerically singular when a leading minor is not
+positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
+(_PIVOT_RATIO). The solve then raises RankDeficientError and the condition
+estimate returns math.inf. Otherwise the extremal eigenvalues of the Gram
+matrix come from Lanczos (eigsh): lambda_max on the matrix itself and
+1/lambda_min on its inverse, applied through the same factor.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
@@ -38,10 +41,10 @@ __all__ = [
 _DIRECT_LIMIT = 20_000
 _EXACT_COLUMN_LIMIT = 5_000
 _SINGULAR_RATIO = 1e-13
-# smallest min|diag U| / max|diag U| of an LU factor that counts as
+# smallest min diag(L)^2 / max diag(L)^2 of a Cholesky factor that counts as
 # nonsingular. Roundoff leaves the smallest pivot of a singular matrix near
-# or below machine epsilon times the largest; with diagonal pivots a
-# symmetric positive definite matrix keeps a ratio of at least 1/cond.
+# or below machine epsilon times the largest; a symmetric positive definite
+# matrix keeps a ratio of at least 1/cond.
 _PIVOT_RATIO = 1e-12
 _LANCZOS_SEED = 0x5EED
 
@@ -111,9 +114,10 @@ def solve(
     RankDeficientError
         If the normal matrix is singular (typically threshold 0 with control
         points that no sample supports); the fix is a positive threshold.
-        The direct method also raises when the LU pivot ratio
-        min|diag U| / max|diag U| is below 1e-12 (numerically singular);
-        conjugate gradients makes no such check.
+        It is also raised when the banded Cholesky factorization fails or its
+        pivot ratio min diag(L)^2 / max diag(L)^2 is below 1e-12 (numerically
+        singular). The direct method always factorizes; conjugate gradients
+        does so, before iterating, only when the condition is estimated.
     NotConvergedError
         If conjugate gradients stops above tolerance.
     """
@@ -122,9 +126,10 @@ def solve(
     collocation = system.collocation
     scaled_penalty = _scaled_penalty(system)
 
-    normal = (collocation.T @ collocation).tocsr()
+    gram = (collocation.T @ collocation).tocsr()
+    normal = gram
     if scaled_penalty is not None:
-        normal = (normal + scaled_penalty.T @ scaled_penalty).tocsr()
+        normal = (gram + scaled_penalty.T @ scaled_penalty).tocsr()
 
     # a zero diagonal entry means no equation touches that control point
     dead = np.flatnonzero(normal.diagonal() == 0.0)
@@ -141,17 +146,15 @@ def solve(
     rhs = system.rhs
     iterations = 0
     factor = None
-    if method == "direct":
-        factor = _nonsingular_lu(normal)
-        if factor is not None:
-            controls = np.column_stack(
-                [factor.solve(rhs[:, c]) for c in range(rhs.shape[1])]
-            )
-        if factor is None or not np.all(np.isfinite(controls)):
+    if method == "direct" or opts.estimate_condition:
+        factor = _band_cholesky(normal)
+        if factor is None:
             raise RankDeficientError(
                 "normal matrix is numerically singular; "
                 "set a regularization threshold > 0"
             )
+    if method == "direct":
+        controls = linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
     else:
         maxiter = opts.maxiter if opts.maxiter is not None else 10 * n_tot
         cols = []
@@ -185,7 +188,7 @@ def solve(
         # the normal matrix is the Gram matrix of the stacked system
         cond_stacked = _condition_from_gram(normal, factor)
         if scaled_penalty is not None:
-            cond_data = condition_number(collocation, mode="estimate")
+            cond_data = _condition_from_gram(gram, _band_cholesky(gram))
         else:
             cond_data = cond_stacked
 
@@ -235,15 +238,16 @@ def condition_number(matrix, mode: str = "estimate") -> float:
     at 5000 columns, and returns math.inf when sigma_min <= 1e-13 sigma_max.
 
     estimate mode works on the Gram matrix of the smaller side (A^T A or
-    A A^T, whose eigenvalues are the squared singular values). It returns
-    math.inf when the sparse LU factorization of the Gram matrix fails or
-    its pivot ratio min|diag U| / max|diag U| is below 1e-12, the rule the
-    direct solve uses to raise RankDeficientError. A sigma bound of 1e-13
-    would be a 1e-26 bound on the Gram matrix, which double precision cannot
-    resolve. Otherwise Lanczos (eigsh, one eigenvalue, fixed start vector)
-    estimates lambda_max of the Gram matrix and, through the factorization,
-    1/lambda_min; the result is sqrt(lambda_max / lambda_min), with the same
-    1e-13 bound on sigma_min / sigma_max as exact mode.
+    A A^T, whose eigenvalues are the squared singular values), reordered by
+    reverse Cuthill-McKee so that its band is narrow whatever the pattern of
+    A. It returns math.inf when the banded Cholesky factorization of the
+    Gram matrix fails or its pivot ratio min diag(L)^2 / max diag(L)^2 is
+    below 1e-12, the rule the solve uses to raise RankDeficientError. A sigma
+    bound of 1e-13 would be a 1e-26 bound on the Gram matrix, which double
+    precision cannot resolve. Otherwise Lanczos (eigsh, one eigenvalue, fixed
+    start vector) estimates lambda_max of the Gram matrix and, through the
+    factor, 1/lambda_min; the result is sqrt(lambda_max / lambda_min), with
+    the same 1e-13 bound on sigma_min / sigma_max as exact mode.
     """
     matrix = sparse.csr_matrix(matrix)
     rows, cols = matrix.shape
@@ -258,8 +262,10 @@ def condition_number(matrix, mode: str = "estimate") -> float:
         svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
         return _condition_from_singular_values(float(svals[0]), float(svals[-1]))
     if mode == "estimate":
-        gram = matrix.T @ matrix if cols <= rows else matrix @ matrix.T
-        return _condition_from_gram(gram)
+        gram = (matrix.T @ matrix if cols <= rows else matrix @ matrix.T).tocsr()
+        order = csgraph.reverse_cuthill_mckee(gram, symmetric_mode=True)
+        gram = gram[order][:, order]
+        return _condition_from_gram(gram, _band_cholesky(gram))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -269,34 +275,44 @@ def _condition_from_singular_values(smax: float, smin: float) -> float:
     return smax / smin
 
 
-def _nonsingular_lu(matrix):
-    """splu factor of a square sparse matrix, or None if numerically singular."""
+def _band_cholesky(matrix):
+    """Lower banded Cholesky factor of a symmetric sparse matrix, or None.
+
+    The bandwidth is the matrix's own, max(row - col) over its pattern; the
+    factor is in LAPACK lower band storage (row i holds diagonal -i). None
+    means numerically singular: a leading minor is not positive, or the
+    pivot ratio min diag(L)^2 / max diag(L)^2 is below _PIVOT_RATIO.
+    """
+    lower = sparse.tril(matrix, format="coo")
+    offset = lower.row - lower.col
+    band = np.zeros((int(offset.max(initial=0)) + 1, matrix.shape[0]))
+    band[offset, lower.col] = lower.data
     try:
-        factor = sparse_linalg.splu(matrix.tocsc())
-    except RuntimeError:  # exactly singular
+        factor = linalg.cholesky_banded(
+            band, lower=True, overwrite_ab=True, check_finite=False
+        )
+    except linalg.LinAlgError:
         return None
-    pivots = np.abs(factor.U.diagonal())
-    largest = pivots.max()
-    if not (largest > 0.0 and pivots.min() >= _PIVOT_RATIO * largest):
+    pivots = factor[0] ** 2
+    if not pivots.min() >= _PIVOT_RATIO * pivots.max():
         return None
     return factor
 
 
-def _condition_from_gram(gram, factor=None) -> float:
+def _condition_from_gram(gram, factor) -> float:
     """sigma_max / sigma_min of any matrix whose Gram matrix is `gram`.
 
-    factor, when given, is a splu factorization of gram that has already
-    passed the pivot-ratio test; otherwise gram is factorized here.
+    factor is _band_cholesky(gram); None marks gram numerically singular.
     """
     if factor is None:
-        factor = _nonsingular_lu(gram)
-        if factor is None:
-            return math.inf
+        return math.inf
     n = gram.shape[0]
     if n == 1:  # eigsh needs k < n; a nonsingular 1x1 matrix has condition 1
         return 1.0
     inverse = sparse_linalg.LinearOperator(
-        gram.shape, matvec=factor.solve, dtype=float
+        gram.shape,
+        matvec=lambda x: linalg.cho_solve_banded((factor, True), x, check_finite=False),
+        dtype=float,
     )
     lam_max = _largest_eigenvalue(gram)
     inv_lam_min = _largest_eigenvalue(inverse)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from scatterspline import (
@@ -212,10 +212,17 @@ def test_criterion_4_zero_threshold_degenerates_to_least_squares():
     difference = with_penalty - plain_normal
     max_diff = abs(difference.data).max() if difference.nnz else 0.0
     controls, _ = solve(system, NO_COND)
+    # reference: LAPACK's banded SPD solve on the lower band of plain_normal
+    dense = plain_normal.toarray()
+    rows, cols = plain_normal.nonzero()
+    width = int((rows - cols).max())
+    band = np.array([np.pad(np.diag(dense, -k), (0, k)) for k in range(width + 1)])
+    direct = linalg.solveh_banded(band, system.rhs, lower=True)
     lu = sparse_linalg.splu(plain_normal.tocsc())
-    direct = np.column_stack(
+    via_lu = np.column_stack(
         [lu.solve(system.rhs[:, k]) for k in range(system.rhs.shape[1])]
     )
+    lu_gap = float(np.abs(via_lu - direct).max() / np.abs(direct).max())
     with criterion(4, "zero threshold equals plain least squares") as (
         checks,
         note,
@@ -223,6 +230,7 @@ def test_criterion_4_zero_threshold_degenerates_to_least_squares():
         checks["all lambdas zero"] = not np.any(system.lambdas)
         checks["normal system element-identical"] = max_diff == 0.0
         checks["solutions identical"] = np.array_equal(controls, direct)
+        checks["sparse LU agrees within 1e-10"] = lu_gap <= 1e-10
         note[0] = f" (penalty contribution {max_diff:.1e})"
 
 

@@ -83,6 +83,27 @@ class TestPointCloud:
             PointCloud(np.zeros((0, 2)), np.zeros((0, 1)))
 
 
+    def test_rejects_non_finite(self):
+        coords = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
+        bad_coords = coords.copy()
+        bad_coords[1, 0] = np.nan
+        with pytest.raises(ValueError, match="coords must be finite"):
+            PointCloud(bad_coords, np.zeros(3))
+        with pytest.raises(ValueError, match="values must be finite"):
+            PointCloud(coords, [0.0, np.inf, 1.0])
+        with pytest.raises(ValueError, match="bbox_min must be finite"):
+            PointCloud(coords, np.zeros(3), [np.nan, 0.0], [1.0, 1.0])
+
+    def test_caller_arrays_stay_writable(self):
+        coords = np.random.default_rng(9).uniform(0, 1, size=(5, 2))
+        values = np.arange(5.0)
+        cloud = PointCloud(coords, values, np.zeros(2), np.ones(2))
+        coords[3, 0] = 0.0
+        values[0] = 9.0
+        assert cloud.coords[3, 0] != 0.0 and cloud.values[0, 0] == 0.0
+        assert not cloud.coords.flags.writeable
+
+
 class TestParameterize:
     def test_midpoint(self):
         w = 4 * np.pi

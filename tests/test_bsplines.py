@@ -12,6 +12,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import brentq
 
 from scatterspline.bsplines import (
+    _EVAL_BLOCK,
     IndexSet,
     KnotVector,
     SplineModel,
@@ -24,6 +25,7 @@ from scatterspline.bsplines import (
     basis_values_many,
     eval_model,
     eval_model_derivative,
+    eval_model_many,
     find_span,
     lex_rank,
     lex_unrank,
@@ -110,6 +112,18 @@ class TestKnotConstruction:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             KnotVector(1, [0.0, 0.0, 0.6, 0.4, 1.0, 1.0])
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="knots must be finite"):
+                KnotVector(1, [0.0, 0.0, bad, 1.0, 1.0])
+
+    def test_caller_array_stays_writable(self):
+        knots = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
+        kv = KnotVector(1, knots)
+        knots[2] = 0.25
+        assert kv.knots[2] == 0.5
+        assert not kv.knots.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +448,43 @@ class TestModelEvaluation:
             np.testing.assert_allclose(
                 eval_model(model, u), naive_eval(model, u), atol=1e-12
             )
+
+    def test_many_across_block_boundary(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng, (5, 4, 6), 3, num_values=2)
+        params = rng.uniform(0, 1, size=(_EVAL_BLOCK + 1, 3))
+        got = eval_model_many(model, params)
+        assert got.shape == (_EVAL_BLOCK + 1, 2)
+        sampled = rng.integers(0, _EVAL_BLOCK, 20)
+        for i in (0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK, *sampled):
+            np.testing.assert_allclose(
+                got[i], eval_model(model, params[i]), rtol=1e-14, atol=1e-14
+            )
+
+
+class TestSplineModelInput:
+    def test_rejects_non_finite_controls_and_box(self):
+        rng = np.random.default_rng(7)
+        model = random_model(rng, (4, 4), 2)
+        controls = model.controls.copy()
+        controls[5, 0] = np.inf
+        with pytest.raises(ValueError, match="controls must be finite"):
+            SplineModel(model.knot_vectors, controls, model.bbox_min, model.bbox_max)
+        with pytest.raises(ValueError, match="bbox_min must be finite"):
+            SplineModel(model.knot_vectors, model.controls, [np.nan, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="bbox_max must be finite"):
+            SplineModel(model.knot_vectors, model.controls, [0.0, 0.0], [1.0, np.inf])
+
+    def test_caller_arrays_stay_writable(self):
+        rng = np.random.default_rng(8)
+        kvs = (uniform_clamped_knots(4, 2),) * 2
+        controls = rng.standard_normal((16, 1))
+        lo, hi = np.zeros(2), np.ones(2)
+        model = SplineModel(kvs, controls, lo, hi)
+        controls[3, 0] = 7.0
+        lo[0] = -1.0
+        assert model.controls[3, 0] != 7.0 and model.bbox_min[0] == 0.0
+        assert not model.controls.flags.writeable
 
 
 class TestModelDerivatives:

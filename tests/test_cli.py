@@ -1,13 +1,16 @@
 """Command-line interface: flags, exit codes, file formats."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import scatterspline
 from scatterspline import (
     FitConfig,
     assemble_system,
@@ -100,6 +103,21 @@ class TestModelFile:
         path.write_text(text)
         with pytest.raises(ModelFileError, match="does not match shape"):
             load_model(path)
+
+    def test_rejects_non_finite_control(self, tmp_path, capsys):
+        model = random_model()
+        path = tmp_path / "m.model"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        lines[-5] = "inf"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFileError, match="controls must be finite"):
+            load_model(path)
+        code = main(["eval", "--model", str(path), "--grid", "4,4",
+                     "--out", str(tmp_path / "v.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_rejects_bad_number_with_line(self, tmp_path):
         model = random_model()
@@ -541,6 +559,15 @@ class TestReport:
         assert code == 4
 
 
+def module_env():
+    """Environment in which `python -m scatterspline.cli` finds the package
+    these tests import, whether it is installed or only on pytest's path."""
+    src = str(Path(scatterspline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -552,6 +579,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert out.exists()
@@ -561,6 +589,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "scatterspline.cli", "synth"],
             capture_output=True,
             text=True,
+            env=module_env(),
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr

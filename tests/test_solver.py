@@ -17,7 +17,9 @@ from scatterspline.solver import (
     NotConvergedError,
     RankDeficientError,
     SolveOptions,
+    _band_cholesky,
     condition_number,
+    fit_cloud,
     solve,
 )
 
@@ -141,12 +143,37 @@ class TestRankDeficiency:
             result = solve(system, NO_COND)
         assert result is None
 
+    def test_singular_without_dead_columns_raises_on_cg_path(self):
+        # samples on two horizontal lines: every basis function in y is
+        # nonzero on one of them, yet the y-direction has rank 2 of 5
+        rng = np.random.default_rng(114)
+        x = rng.uniform(0, 1, size=300)
+        y = np.where(np.arange(300) % 2 == 0, 0.3, 0.9)
+        cloud = PointCloud(
+            np.column_stack([x, y]), np.sin(3 * x), np.zeros(2), np.ones(2)
+        )
+        system = assemble_system(cloud, FitConfig(degree=2, shape=(5, 5)))
+        assert np.all(system.collocation.sum(axis=0) > 0)
+        with pytest.raises(RankDeficientError, match="threshold"):
+            solve(system, SolveOptions(method="cg"))
+
     def test_error_message_mentions_threshold(self):
         rng = np.random.default_rng(106)
         cloud = corner_void_cloud(rng)
         system = assemble_system(cloud, FitConfig(degree=2, shape=(8, 8)))
         with pytest.raises(RankDeficientError, match="threshold"):
             solve(system, NO_COND)
+
+
+class TestNonFiniteInput:
+    def test_nan_value_is_input_error(self):
+        # an input error naming the field, not a singular normal matrix
+        rng = np.random.default_rng(116)
+        coords = rng.uniform(0, 1, size=(400, 2))
+        values = np.sin(3 * coords[:, 0])
+        values[17] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            fit_cloud(PointCloud(coords, values), FitConfig(degree=3, shape=(6, 6)))
 
 
 class TestMethods:
@@ -178,6 +205,63 @@ class TestMethods:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             SolveOptions(method="gauss")
+
+
+def random_regularized_system(seed, shape, degree, num_values=2):
+    """Uniform cloud with a void at the domain centre, 10 samples per control.
+
+    The threshold of 100 lies above every column sum, so the penalty is on
+    for every control point and the normal matrix stays well conditioned up
+    to degree 5 in 3-D.
+    """
+    rng = np.random.default_rng(seed)
+    d = len(shape)
+    coords = rng.uniform(0, 1, size=(10 * int(np.prod(shape)), d))
+    coords = coords[((coords - 0.5) ** 2).sum(axis=1) > 0.04]
+    values = np.column_stack(
+        [np.sin(3 * coords).sum(axis=1), coords[:, 0] ** 2][:num_values]
+    )
+    cloud = PointCloud(coords, values, np.zeros(d), np.ones(d))
+    orders = (1, 2) if degree > 1 else (1,)
+    config = FitConfig(degree=degree, shape=shape, threshold=100.0, orders=orders)
+    return assemble_system(cloud, config)
+
+
+def explicit_normal(system):
+    n = system.collocation
+    scaled = system.penalty @ sparse.diags(system.lambdas)
+    return (n.T @ n + scaled.T @ scaled).tocsr()
+
+
+class TestBandCholesky:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_direct_solve_matches_dense(self, d, degree):
+        shape = (degree + 3,) * d
+        system = random_regularized_system(200 + 10 * d + degree, shape, degree)
+        assert np.any(system.lambdas > 0)
+        controls, report = solve(
+            system, SolveOptions(method="direct", estimate_condition=False)
+        )
+        dense = np.linalg.solve(explicit_normal(system).toarray(), system.rhs)
+        assert report.method == "direct" and controls.shape == (system.n_tot, 2)
+        assert np.abs(controls - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 6), (6, 5, 7)])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_bandwidth_of_fit_matrices(self, shape, degree):
+        system = random_regularized_system(300, shape, degree, num_values=1)
+        factor = _band_cholesky(explicit_normal(system))
+        expected = sum(
+            degree * int(np.prod(shape[k + 1:])) for k in range(len(shape))
+        )
+        assert factor.shape == (expected + 1, system.n_tot)
+
+    def test_singular_matrix_gives_none(self):
+        ones = sparse.csr_matrix(np.ones((4, 4)))
+        assert _band_cholesky(ones) is None
+        assert _band_cholesky(sparse.diags([1.0, 1e-13, 1.0]).tocsr()) is None
+        assert _band_cholesky(sparse.diags([1.0, 1e-11, 1.0]).tocsr()) is not None
 
 
 class TestResiduals:
@@ -236,6 +320,22 @@ class TestConditionNumber:
             exact = condition_number(mat, mode="exact")
             estimate = condition_number(mat, mode="estimate")
             assert abs(estimate - exact) <= 0.05 * exact
+
+    def test_estimate_on_permuted_banded_matrix(self):
+        # the estimate reorders the Gram matrix by reverse Cuthill-McKee;
+        # a random symmetric permutation of a banded SPD matrix tests that path
+        rng = np.random.default_rng(115)
+        n, width = 300, 4
+        offsets = range(-width, width + 1)
+        diagonals = [rng.uniform(-1, 1, n - abs(k)) for k in offsets]
+        banded = sparse.diags(diagonals, offsets)
+        spd = (banded @ banded.T + 0.05 * sparse.eye(n)).tocsr()
+        order = rng.permutation(n)
+        permuted = spd[order][:, order]
+        exact = condition_number(permuted, mode="exact")
+        estimate = condition_number(permuted, mode="estimate")
+        assert math.isfinite(exact)
+        assert abs(estimate - exact) <= 0.05 * exact
 
     def test_exact_mode_size_cap(self):
         with pytest.raises(ValueError):
