@@ -27,6 +27,7 @@ from .datasets import (
     read_points,
     resample_grid,
     write_csv,
+    write_table,
 )
 from .metrics import RegionOfInterest, lambda_field, pointwise_errors
 from .solver import (
@@ -138,6 +139,8 @@ def load_model(path):
     settings = {"threshold": None, "orders": None}
     if reader.peek_key() == "threshold":
         (settings["threshold"],) = reader.keyed("threshold", 1)
+        if not 0.0 <= settings["threshold"] < math.inf:
+            reader.fail("threshold must be finite and >= 0")
     if reader.peek_key() == "orders":
         settings["orders"] = tuple(reader.keyed("orders", None, int))
     knot_vectors = []
@@ -384,14 +387,8 @@ def _cmd_report(args) -> int:
         physical = model.bbox_min + field.maximizers * span
         header = [f"x{k + 1}" for k in range(model.d)]
         header += ["data_sum", "penalty_sum", "lambda"]
-        with open(args.lambda_out, "w", encoding="utf-8") as handle:
-            handle.write(",".join(header) + "\n")
-            for i in range(physical.shape[0]):
-                fields = [format(v, ".17g") for v in physical[i]]
-                fields.append(format(field.data_col_sums[i], ".17g"))
-                fields.append(format(field.penalty_col_sums[i], ".17g"))
-                fields.append(format(field.lambdas[i], ".17g"))
-                handle.write(",".join(fields) + "\n")
+        columns = (field.data_col_sums, field.penalty_col_sums, field.lambdas)
+        write_table(args.lambda_out, header, np.column_stack((physical, *columns)))
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "read_csv",
     "read_points",
     "write_csv",
+    "write_table",
     "resample_grid",
     "grid_to_cloud",
     "POLYSINC_BOX",
@@ -210,6 +212,9 @@ def _annulus_values(coords, center, half):
     return 4.0 + 6.0 * np.sin(math.pi * x) * np.cos(math.pi * y)
 
 
+_BLOCK_ROWS = 8192  # rows parsed or formatted per block
+
+
 class CsvParseError(ValueError):
     """Malformed point-cloud CSV; the message carries the 1-based line number."""
 
@@ -239,24 +244,55 @@ def _read_table(path, parse_header) -> tuple[tuple[int, ...], np.ndarray]:
     """Numeric rows of a CSV file; every error names the 1-based line.
 
     parse_header(fields) checks the header and returns the sizes of the
-    leading column groups to convert; they are returned with the data. Each
-    data row must have as many fields as the header, and every converted
-    value must be finite.
+    leading column groups to convert; they are returned with the data. Blank
+    lines are skipped. Each data row must have as many fields as the header,
+    every converted field must parse with float(), and every value must be
+    finite. Rows are parsed a block at a time; a block that fails is parsed
+    again line by line, only to name the bad line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
-    if not rows:
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
         raise CsvParseError(f"{path}: empty file (missing header)")
-    first_number, header = rows[0]
-    if first_number != 1:
+    if first != 0:
         raise CsvParseError(f"{path}: line 1: missing header")
-    fields = [f.strip() for f in header.split(",")]
+    fields = [f.strip() for f in lines[0].split(",")]
     groups = parse_header(fields)
     keep = sum(groups)
     width = len(fields)
-    data = np.empty((len(rows) - 1, keep))
-    for out_row, (line_number, line) in enumerate(rows[1:]):
+    data = np.empty((len(lines) - 1, keep))
+    rows = 0
+    for start in range(1, len(lines), _BLOCK_ROWS):
+        block = [line for line in lines[start : start + _BLOCK_ROWS] if line.strip()]
+        if not block:
+            continue
+        try:
+            if set(map(str.count, block, repeat(","))) != {width - 1}:
+                raise ValueError("ragged row")
+            flat = ",".join(block).split(",")
+            columns = chain.from_iterable(flat[j::width] for j in range(keep))
+            parsed = np.fromiter(map(float, columns), float, keep * len(block))
+        except ValueError:
+            _raise_bad_line(path, lines, start, width, keep)
+        data[rows : rows + len(block)] = parsed.reshape(keep, len(block)).T
+        rows += len(block)
+    data = data[:rows]
+    if data.shape[0] == 0:
+        raise CsvParseError(f"{path}: no data rows")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        numbers = [i + 1 for i, line in enumerate(lines) if line.strip()]
+        line_number = numbers[1 + int(np.argmin(finite))]
+        raise CsvParseError(f"{path}: line {line_number}: non-finite value")
+    return groups, data
+
+
+def _raise_bad_line(path, lines, start, width, keep):
+    """Raise the CsvParseError for the first malformed line of the block."""
+    for line_number, line in enumerate(lines[start : start + _BLOCK_ROWS], start + 1):
+        if not line.strip():
+            continue
         parts = line.split(",")
         if len(parts) != width:
             raise CsvParseError(
@@ -264,16 +300,10 @@ def _read_table(path, parse_header) -> tuple[tuple[int, ...], np.ndarray]:
                 f"got {len(parts)}"
             )
         try:
-            data[out_row] = [float(part) for part in parts[:keep]]
+            list(map(float, parts[:keep]))
         except ValueError as exc:
             raise CsvParseError(f"{path}: line {line_number}: {exc}") from None
-    if data.shape[0] == 0:
-        raise CsvParseError(f"{path}: no data rows")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        line_number = rows[1 + int(np.argmin(finite))][0]
-        raise CsvParseError(f"{path}: line {line_number}: non-finite value")
-    return groups, data
+    raise AssertionError("block parse failed on well-formed lines")
 
 
 def read_csv(path) -> PointCloud:
@@ -309,11 +339,22 @@ def write_csv(cloud: PointCloud, path) -> None:
     """Write a cloud as `x1,..,xd,v1,..,vD` CSV at full precision."""
     header = [f"x{k + 1}" for k in range(cloud.d)]
     header += [f"v{k + 1}" for k in range(cloud.num_values)]
-    stacked = np.hstack([cloud.coords, cloud.values])
+    write_table(path, header, np.hstack([cloud.coords, cloud.values]))
+
+
+def write_table(path, header, table) -> None:
+    """Write a header line and a 2-D float table as CSV, each value as %.17g.
+
+    17 significant digits read back to the same double; the bytes equal
+    format(v, ".17g") value for value, and rows are written a block at a time.
+    """
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for row in stacked:
-            handle.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for start in range(0, table.shape[0], _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            handle.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def resample_grid(model: SplineModel, shape) -> tuple[list[np.ndarray], np.ndarray]:

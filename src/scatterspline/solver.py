@@ -239,15 +239,16 @@ def condition_number(matrix, mode: str = "estimate") -> float:
 
     estimate mode works on the Gram matrix of the smaller side (A^T A or
     A A^T, whose eigenvalues are the squared singular values), reordered by
-    reverse Cuthill-McKee so that its band is narrow whatever the pattern of
-    A. It returns math.inf when the banded Cholesky factorization of the
-    Gram matrix fails or its pivot ratio min diag(L)^2 / max diag(L)^2 is
-    below 1e-12, the rule the solve uses to raise RankDeficientError. A sigma
-    bound of 1e-13 would be a 1e-26 bound on the Gram matrix, which double
-    precision cannot resolve. Otherwise Lanczos (eigsh, one eigenvalue, fixed
-    start vector) estimates lambda_max of the Gram matrix and, through the
-    factor, 1/lambda_min; the result is sqrt(lambda_max / lambda_min), with
-    the same 1e-13 bound on sigma_min / sigma_max as exact mode.
+    reverse Cuthill-McKee only when that narrows its band (on a tensor-product
+    fit matrix in lexicographic order it widens it). It returns math.inf when
+    the banded Cholesky factorization of the Gram matrix fails or its pivot
+    ratio min diag(L)^2 / max diag(L)^2 is below 1e-12, the rule the solve
+    uses to raise RankDeficientError. A sigma bound of 1e-13 would be a 1e-26
+    bound on the Gram matrix, which double precision cannot resolve.
+    Otherwise Lanczos (eigsh, one eigenvalue, fixed start vector) estimates
+    lambda_max of the Gram matrix and, through the factor, 1/lambda_min; the
+    result is sqrt(lambda_max / lambda_min), with the same 1e-13 bound on
+    sigma_min / sigma_max as exact mode.
     """
     matrix = sparse.csr_matrix(matrix)
     rows, cols = matrix.shape
@@ -264,7 +265,9 @@ def condition_number(matrix, mode: str = "estimate") -> float:
     if mode == "estimate":
         gram = (matrix.T @ matrix if cols <= rows else matrix @ matrix.T).tocsr()
         order = csgraph.reverse_cuthill_mckee(gram, symmetric_mode=True)
-        gram = gram[order][:, order]
+        permuted = gram[order][:, order]
+        if _bandwidth(permuted) < _bandwidth(gram):
+            gram = permuted
         return _condition_from_gram(gram, _band_cholesky(gram))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -273,6 +276,12 @@ def _condition_from_singular_values(smax: float, smin: float) -> float:
     if smax == 0.0 or smin <= _SINGULAR_RATIO * smax:
         return math.inf
     return smax / smin
+
+
+def _bandwidth(matrix) -> int:
+    """max |row - col| over the pattern of a sparse matrix."""
+    coo = matrix.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
 
 
 def _band_cholesky(matrix):

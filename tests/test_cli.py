@@ -451,6 +451,16 @@ class TestEval:
                      "--out", str(tmp_path / "v.csv")])
         assert code == 4
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_bad_threshold_in_model_is_io_error(self, tmp_path, capsys, threshold):
+        path = tmp_path / "m.model"
+        save_model(path, random_model(), threshold=threshold, orders=(2,))
+        code = main(["eval", "--model", str(path), "--grid", "4,4",
+                     "--out", str(tmp_path / "v.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and "line 8: threshold must be finite and >= 0" in err[0]
+
 
 class TestReport:
     def _fitted(self, tmp_path):
@@ -551,6 +561,19 @@ class TestReport:
                      "--lambda-out", str(tmp_path / "lam.csv")])
         assert code == 2
         assert "record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0])
+    def test_lambda_export_with_bad_threshold_is_io_error(self, tmp_path, capsys, threshold):
+        model_path = tmp_path / "m.model"
+        save_model(model_path, random_model(), threshold=threshold, orders=(2,))
+        data = tmp_path / "d.csv"
+        spline_csv(data)
+        code = main(["report", "--model", str(model_path), "--reference", str(data),
+                     "--lambda-out", str(tmp_path / "lam.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and "threshold must be finite" in err[0]
+        assert not (tmp_path / "lam.csv").exists()
 
     def test_nonexistent_reference_is_io_error(self, tmp_path, capsys):
         model_path, _ = self._fitted(tmp_path)

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from scatterspline import SplineModel, uniform_clamped_knots
+from scatterspline import PointCloud, SplineModel, datasets, uniform_clamped_knots
 from scatterspline.datasets import (
     POLYSINC_BOX,
     CsvParseError,
@@ -19,6 +20,7 @@ from scatterspline.datasets import (
     grid_to_cloud,
     polysinc,
     read_csv,
+    read_points,
     resample_grid,
     sinc,
     write_csv,
@@ -315,6 +317,104 @@ class TestCsv:
         back = read_csv(path)
         assert_array_equal(back.coords, cloud.coords)
         assert_array_equal(back.values, cloud.values)
+
+
+BLOCK = datasets._BLOCK_ROWS
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def float_rows(text):
+    """The reference grammar: float() on every field of every non-blank line."""
+    lines = [line for line in text.splitlines()[1:] if line.strip()]
+    return np.array([[float(f) for f in line.split(",")] for line in lines])
+
+
+class TestCsvBlocks:
+    """The block writer and reader against per-value references."""
+
+    @staticmethod
+    def formatted(header, table):
+        rows = (",".join(format(v, ".17g") for v in row) for row in table)
+        return ",".join(header) + "\n" + "".join(row + "\n" for row in rows)
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        special = np.array([-0.0, 5e-324, 1e300, 2.0, 0.1, -2.5e-310])
+        rng = np.random.default_rng(41)
+        scales = 10.0 ** rng.integers(-300, 300, (BLOCK + 1, 3))
+        clouds = [
+            PointCloud(np.column_stack([special, special[::-1]]), np.roll(special, 2)),
+            PointCloud(
+                rng.normal(size=(BLOCK + 1, 3)) * scales,
+                rng.standard_cauchy((BLOCK + 1, 2)),
+            ),
+        ]
+        path = tmp_path / "b.csv"
+        for cloud in clouds:
+            write_csv(cloud, path)
+            header = [f"x{k + 1}" for k in range(cloud.d)]
+            header += [f"v{k + 1}" for k in range(cloud.num_values)]
+            expected = self.formatted(header, np.hstack([cloud.coords, cloud.values]))
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_reader_matches_float_on_whitespace_crlf_and_blank_lines(self, tmp_path):
+        rng = np.random.default_rng(42)
+        table = rng.normal(size=(2 * BLOCK + 5, 3))
+        pads = [" ", "\t", "", "  ", "\u00a0"]
+        lines = [
+            ",".join(pads[(i + j) % 5] + repr(v) + pads[i * j % 5] for j, v in enumerate(row))
+            for i, row in enumerate(table.tolist())
+        ]
+        for at in (BLOCK + 1, BLOCK - 1, 5):  # blank lines in both blocks and at the seam
+            lines[at:at] = ["", "   "]
+        text = "x1,x2,v1\r\n" + "\r\n".join(lines) + "\r\n\r\n"
+        path = tmp_path / "w.csv"
+        path.write_bytes(text.encode("utf-8"))
+        cloud = read_csv(path)
+        expected = float_rows(text)
+        assert_array_equal(expected, table)
+        assert_array_equal(bits(cloud.coords), bits(expected[:, :2]))
+        assert_array_equal(bits(cloud.values), bits(expected[:, 2:]))
+
+    def test_read_points_ignores_non_numeric_trailing_column(self, tmp_path):
+        rng = np.random.default_rng(43)
+        coords = rng.uniform(-1, 1, (BLOCK + 3, 2))
+        body = "".join(
+            f"{x!r},{y!r},label {i}\n" for i, (x, y) in enumerate(coords.tolist())
+        )
+        path = tmp_path / "p.csv"
+        path.write_text("x1,x2,name\n" + body)
+        assert_array_equal(bits(read_points(path, 2)), bits(coords))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.5,1", "expected 3 fields, got 2"), ("0.5,oops,1", "could not convert"),
+         ("0.5,1,nan", "non-finite value")],
+    )
+    def test_bad_line_in_second_block_named(self, tmp_path, bad, message):
+        rows = ["0.25,0.5,1"] * (BLOCK + 20)
+        rows[3:3] = ["", "  "]  # blank lines shift every later line number by 2
+        at = BLOCK + 10
+        rows[at] = bad
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,v1\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CsvParseError, match=f"line {at + 2}: {message}"):
+            read_csv(path)
+
+    @given(st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_bit_identical(self, tmp_path_factory, rows):
+        # two anchor rows keep the tight box non-degenerate
+        table = np.array([(-1.0, -1.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)] + rows)
+        cloud = PointCloud(table[:, :2], table[:, 2:])
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        write_csv(cloud, path)
+        back = read_csv(path)
+        assert_array_equal(bits(back.coords), bits(cloud.coords))
+        assert_array_equal(bits(back.values), bits(cloud.values))
 
 
 class TestResampleGrid:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from scatterspline import solver
 from scatterspline.assembly import FitConfig, PointCloud, assemble_system
 from scatterspline.bsplines import (
     SplineModel,
@@ -335,6 +336,23 @@ class TestConditionNumber:
         exact = condition_number(permuted, mode="exact")
         estimate = condition_number(permuted, mode="estimate")
         assert math.isfinite(exact)
+        assert abs(estimate - exact) <= 0.05 * exact
+
+    def test_estimate_keeps_lexicographic_tensor_order(self, monkeypatch):
+        # reverse Cuthill-McKee widens this tensor-product Gram matrix (band
+        # 33 -> 51), so the estimate factors it in its own order
+        rng = np.random.default_rng(116)
+        cloud = PointCloud(rng.uniform(0, 1, (3000, 2)), rng.normal(size=3000))
+        colloc = assemble_system(cloud, FitConfig(degree=3, shape=(10, 10))).collocation
+        factored = []
+        band_cholesky = solver._band_cholesky
+        monkeypatch.setattr(
+            solver, "_band_cholesky", lambda m: factored.append(m) or band_cholesky(m)
+        )
+        estimate = condition_number(colloc, mode="estimate")
+        gram = (colloc.T @ colloc).tocsr()
+        assert len(factored) == 1 and (factored[0] != gram).nnz == 0
+        exact = condition_number(colloc, mode="exact")
         assert abs(estimate - exact) <= 0.05 * exact
 
     def test_exact_mode_size_cap(self):
