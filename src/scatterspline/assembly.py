@@ -19,6 +19,7 @@ from scipy import sparse
 from .bsplines import (
     KnotVector,
     dim_maximizers,
+    _unit_params,
     owned_finite,
     tensor_basis_rows,
     uniform_clamped_knots,
@@ -146,10 +147,9 @@ class FitConfig:
 
 def parameterize(cloud: PointCloud) -> np.ndarray:
     """Map physical coordinates onto [0, 1]^d by the bounding-box affine map."""
-    span = cloud.bbox_max - cloud.bbox_min
-    if np.any(span <= 0):
+    if np.any(cloud.bbox_max <= cloud.bbox_min):
         raise ValueError("degenerate bounding box")
-    return (cloud.coords - cloud.bbox_min) / span
+    return _unit_params(cloud.coords, cloud.bbox_min, cloud.bbox_max)
 
 
 def build_knots(config: FitConfig) -> tuple[KnotVector, ...]:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "KnotVector",
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 _MAXIMIZER_TOL = 1e-10
-# rows per block in eval_model_many; bounds the gathered (rows, (p+1)^d, D_v)
-# control array
+# rows per evaluation block; bounds the gathered (rows, D_v, (p+1)^d) control
+# windows
 _EVAL_BLOCK = 8192
 
 
@@ -474,8 +475,12 @@ class SplineModel:
 
     def to_params(self, coords: np.ndarray) -> np.ndarray:
         """Affine map from physical coordinates (..., d) into [0, 1]^d."""
-        coords = np.asarray(coords, dtype=float)
-        return (coords - self.bbox_min) / (self.bbox_max - self.bbox_min)
+        return _unit_params(coords, self.bbox_min, self.bbox_max)
+
+
+def _unit_params(coords, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The affine map taking the box [lo, hi] onto the unit cube."""
+    return (np.asarray(coords, dtype=float) - lo) / (hi - lo)
 
 
 def eval_model(model: SplineModel, u) -> np.ndarray:
@@ -492,8 +497,25 @@ def eval_model_derivative(model: SplineModel, u, delta) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (model.d,) or len(delta) != model.d:
         raise ValueError(f"expected {model.d}-component parameter and order tuples")
-    w, cols = tensor_basis_rows(model.knot_vectors, u[None, :], delta)
-    return w[0] @ model.controls[cols[0]]
+    return _eval_rows(model, u[None, :], tuple(int(o) for o in delta))[0]
+
+
+def _local_weights(
+    knot_vectors: tuple[KnotVector, ...], params: np.ndarray, delta: tuple[int, ...]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Tensor-product weights (m, (p+1)^d), last dimension fastest, and the
+    first local basis index of every point in each dimension."""
+    w, firsts = None, []
+    for k, (kv, order) in enumerate(zip(knot_vectors, delta)):
+        ders, first = basis_derivatives_many(kv, params[:, k], order)
+        vals = ders[order]
+        if w is not None:
+            # an explicit width, since -1 cannot be resolved when m is 0
+            width = w.shape[1] * vals.shape[1]
+            vals = np.einsum("mi,mj->mij", w, vals).reshape(len(vals), width)
+        w = vals
+        firsts.append(first)
+    return w, firsts
 
 
 def tensor_basis_rows(
@@ -519,14 +541,11 @@ def tensor_basis_rows(
     delta = (0,) * d if delta is None else tuple(int(o) for o in delta)
     if len(delta) != d:
         raise ValueError(f"expected a {d}-component derivative order")
-    m = params.shape[0]
+    w, firsts = _local_weights(knot_vectors, params, delta)
     shape = [kv.n for kv in knot_vectors]
     # flat rank = sum_k (first_k + offset_k) * stride_k, row-major strides
-    w, first_rank, offsets = None, 0, np.zeros(1, dtype=np.intp)
-    for k, (kv, order) in enumerate(zip(knot_vectors, delta)):
-        ders, first = basis_derivatives_many(kv, params[:, k], order)
-        vals = ders[order]
-        w = vals if w is None else (w[:, :, None] * vals[:, None, :]).reshape(m, -1)
+    first_rank, offsets = 0, np.zeros(1, dtype=np.intp)
+    for k, (kv, first) in enumerate(zip(knot_vectors, firsts)):
         stride = math.prod(shape[k + 1:])
         first_rank = first_rank + first * stride
         offsets = (offsets[:, None] + stride * np.arange(kv.degree + 1)).ravel()
@@ -540,13 +559,30 @@ def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
     whatever m is.
     """
     params = np.asarray(params, dtype=float)
-    if params.ndim != 2:
+    if params.ndim != 2 or params.shape[1] != model.d:
         raise ValueError(f"expected (m, {model.d}) parameter array")
-    out = np.empty((params.shape[0], model.num_values))
-    for start in range(0, max(params.shape[0], 1), _EVAL_BLOCK):
+    return _eval_rows(model, params, (0,) * model.d)
+
+
+def _eval_rows(model: SplineModel, params: np.ndarray, delta: tuple[int, ...]) -> np.ndarray:
+    """The delta-partial of the model at every row of params, as (m, D_v).
+
+    Each point's controls are read as one window of a strided view of the
+    control grid, so no (m, (p+1)^d) rank array is formed. One einsum per
+    value column sums each point's (p+1)^d products.
+    """
+    d, p, num_values = model.d, model.degree, model.num_values
+    grid = model.controls.reshape(model.shape + (num_values,))
+    # windows[i_1, ..., i_d] is the (D_v, p+1, ..., p+1) block of controls
+    # whose basis functions start at first indices i_1, ..., i_d
+    windows = sliding_window_view(grid, (p + 1,) * d, axis=tuple(range(d)))
+    out = np.empty((params.shape[0], num_values))
+    for start in range(0, params.shape[0], _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
-        w, flat = tensor_basis_rows(model.knot_vectors, params[block])
-        out[block] = np.einsum("ml,mlv->mv", w, model.controls[flat])
+        w, firsts = _local_weights(model.knot_vectors, params[block], delta)
+        local = windows[tuple(firsts)].reshape(w.shape[0], num_values, -1)
+        for v in range(num_values):
+            out[block, v] = np.einsum("ml,ml->m", local[:, v], w)
     return out
 
 

@@ -47,6 +47,10 @@ _SINGULAR_RATIO = 1e-13
 # matrix keeps a ratio of at least 1/cond.
 _PIVOT_RATIO = 1e-12
 _LANCZOS_SEED = 0x5EED
+# relative accuracy asked of each Lanczos eigenvalue; the condition number
+# is a diagnostic, and eigsh's default of machine precision costs extra
+# restarts without changing its leading digits
+_LANCZOS_TOL = 1e-6
 
 
 class RankDeficientError(RuntimeError):
@@ -206,19 +210,16 @@ def solve(
 
 
 def _cg(matrix, b, rtol, maxiter):
-    counter = _IterationCounter()
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
     x, info = sparse_linalg.cg(
-        matrix, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=counter
+        matrix, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=count
     )
-    return x, info, counter.count
-
-
-class _IterationCounter:
-    def __init__(self):
-        self.count = 0
-
-    def __call__(self, _):
-        self.count += 1
+    return x, info, iterations
 
 
 def fit_cloud(
@@ -245,10 +246,10 @@ def condition_number(matrix, mode: str = "estimate") -> float:
     ratio min diag(L)^2 / max diag(L)^2 is below 1e-12, the rule the solve
     uses to raise RankDeficientError. A sigma bound of 1e-13 would be a 1e-26
     bound on the Gram matrix, which double precision cannot resolve.
-    Otherwise Lanczos (eigsh, one eigenvalue, fixed start vector) estimates
-    lambda_max of the Gram matrix and, through the factor, 1/lambda_min; the
-    result is sqrt(lambda_max / lambda_min), with the same 1e-13 bound on
-    sigma_min / sigma_max as exact mode.
+    Otherwise Lanczos (eigsh, one eigenvalue, fixed start vector, relative
+    tolerance 1e-6) estimates lambda_max of the Gram matrix and, through the
+    factor, 1/lambda_min; the result is sqrt(lambda_max / lambda_min), with
+    the same 1e-13 bound on sigma_min / sigma_max as exact mode.
     """
     matrix = sparse.csr_matrix(matrix)
     rows, cols = matrix.shape
@@ -312,6 +313,7 @@ def _condition_from_gram(gram, factor) -> float:
     """sigma_max / sigma_min of any matrix whose Gram matrix is `gram`.
 
     factor is _band_cholesky(gram); None marks gram numerically singular.
+    Both extremal eigenvalues come from eigsh at relative tolerance 1e-6.
     """
     if factor is None:
         return math.inf
@@ -336,6 +338,6 @@ def _largest_eigenvalue(operator) -> float:
     """Lanczos estimate of the largest eigenvalue of a symmetric operator."""
     v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(operator.shape[0])
     top = sparse_linalg.eigsh(
-        operator, k=1, which="LA", v0=v0, return_eigenvectors=False
+        operator, k=1, which="LA", v0=v0, tol=_LANCZOS_TOL, return_eigenvectors=False
     )
     return float(top[0])

@@ -21,6 +21,7 @@ from scatterspline.assembly import (
 from scatterspline.bsplines import (
     IndexSet,
     KnotVector,
+    SplineModel,
     basis_derivative_single,
     basis_maximizer,
     lex_unrank,
@@ -127,6 +128,17 @@ class TestParameterize:
         cloud = random_cloud(rng, 50, box=((-3.0, 9.0), (2.0, 2.5)))
         params = parameterize(cloud)
         assert params.min() >= 0.0 and params.max() <= 1.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_model_map(self, seed):
+        rng = np.random.default_rng(seed)
+        cloud = random_cloud(rng, 50, box=((-3.0, 9.0), (2.0, 2.5)))
+        kvs = (uniform_clamped_knots(4, 2),) * 2
+        model = SplineModel(kvs, np.zeros((16, 1)), cloud.bbox_min, cloud.bbox_max)
+        np.testing.assert_array_equal(
+            parameterize(cloud), model.to_params(cloud.coords)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,11 @@ from scatterspline.bsplines import (
     eval_model,
     eval_model_derivative,
     eval_model_many,
+    eval_model_grid,
     find_span,
     lex_rank,
     lex_unrank,
+    tensor_basis_rows,
     uniform_clamped_knots,
 )
 
@@ -460,6 +462,83 @@ class TestModelEvaluation:
             np.testing.assert_allclose(
                 got[i], eval_model(model, params[i]), rtol=1e-14, atol=1e-14
             )
+
+
+@st.composite
+def eval_models(draw):
+    """A model with d 1-3, degree 1-5, 1-3 value columns and a few cells."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5))
+    num_values = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(p + 1, p + 3)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kvs = tuple(uniform_clamped_knots(nk, p) for nk in shape)
+    controls = rng.uniform(-1.0, 1.0, (int(np.prod(shape)), num_values))
+    return SplineModel(kvs, controls, np.zeros(d), np.ones(d)), rng
+
+
+def knot_heavy_params(model, rng, m):
+    """m parameter rows, about half of each column drawn from the knots
+    (0, 1 and every interior knot), the rest uniform on [0, 1]."""
+    params = rng.uniform(0.0, 1.0, (m, model.d))
+    for k, kv in enumerate(model.knot_vectors):
+        on_knot = rng.random(m) < 0.5
+        params[on_knot, k] = rng.choice(np.unique(kv.knots), on_knot.sum())
+    return params
+
+
+class TestEvalKernelProperties:
+    @given(eval_models(), st.sampled_from([0, 1, _EVAL_BLOCK, _EVAL_BLOCK + 1]))
+    @settings(max_examples=30, deadline=None)
+    def test_many_matches_per_point_and_local_rows(self, case, m):
+        model, rng = case
+        params = knot_heavy_params(model, rng, m)
+        got = eval_model_many(model, params)
+        assert got.shape == (m, model.num_values)
+        # the collocation rows give an independent route to the same sums
+        w, cols = tensor_basis_rows(model.knot_vectors, params)
+        rows = np.einsum("ml,mlv->mv", w, model.controls[cols])
+        np.testing.assert_allclose(got, rows, rtol=1e-14, atol=1e-14)
+        picked = {0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK, m - 1, *rng.integers(0, max(m, 1), 8)}
+        for i in sorted(i for i in picked if 0 <= i < m):
+            np.testing.assert_allclose(
+                got[i], eval_model(model, params[i]), rtol=1e-14, atol=1e-14
+            )
+
+    @given(eval_models())
+    @settings(max_examples=30, deadline=None)
+    def test_many_matches_grid(self, case):
+        model, rng = case
+        axes = [
+            np.unique(np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 3)]))
+            for kv in model.knot_vectors
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([g.ravel() for g in mesh], axis=1)
+        grid = eval_model_grid(model, axes).reshape(-1, model.num_values)
+        np.testing.assert_allclose(
+            eval_model_many(model, points), grid, rtol=1e-14, atol=1e-14
+        )
+
+    @given(eval_models())
+    @settings(max_examples=15, deadline=None)
+    def test_malformed_params_rejected(self, case):
+        model, rng = case
+        d = model.d
+        good = rng.uniform(0.0, 1.0, (5, d))
+        bad = [
+            rng.uniform(0.0, 1.0, (5, d + 1)),
+            np.zeros((0, d + 1)),
+            good[:, 0],
+            good[None],
+        ]
+        for value in (-1e-12, 1.0 + 1e-12, np.nan):
+            out = good.copy()
+            out[3, d - 1] = value
+            bad.append(out)
+        for params in bad:
+            with pytest.raises(ValueError):
+                eval_model_many(model, params)
 
 
 class TestSplineModelInput:
