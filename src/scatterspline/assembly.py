@@ -147,8 +147,6 @@ class FitConfig:
 
 def parameterize(cloud: PointCloud) -> np.ndarray:
     """Map physical coordinates onto [0, 1]^d by the bounding-box affine map."""
-    if np.any(cloud.bbox_max <= cloud.bbox_min):
-        raise ValueError("degenerate bounding box")
     return _unit_params(cloud.coords, cloud.bbox_min, cloud.bbox_max)
 
 

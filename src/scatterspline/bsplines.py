@@ -8,6 +8,8 @@ done in parameter space.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +39,34 @@ __all__ = [
 ]
 
 _MAXIMIZER_TOL = 1e-10
-# rows per evaluation block; bounds the gathered (rows, D_v, (p+1)^d) control
-# windows
+# evaluation rows in flight at once, shared out among the worker threads;
+# bounds the gathered (rows, (p+1)^d) control windows and basis tables
 _EVAL_BLOCK = 8192
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_parallel(func, items) -> list:
+    """[func(item) for item in items], on one thread per available CPU.
+
+    Worth it only when func spends its time in native code that releases
+    the interpreter lock (NumPy kernels, SciPy's sparse products). The pool
+    lives for one call, so no thread outlives it or is inherited by a fork;
+    with one worker the items run inline. The first exception raised by
+    func, in item order, is raised here.
+    """
+    items = list(items)
+    workers = min(_worker_count(), len(items))
+    if workers <= 1:
+        return [func(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(func, items))
 
 
 def owned_finite(x, name: str) -> np.ndarray:
@@ -555,8 +582,9 @@ def tensor_basis_rows(
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
     """Evaluate at m parameter tuples, returned as (m, D_v).
 
-    Rows are evaluated in blocks of _EVAL_BLOCK, so memory stays bounded
-    whatever m is.
+    Rows are evaluated in blocks, at most _EVAL_BLOCK rows at a time across
+    all threads, so memory stays bounded whatever m is. The result is the
+    same, bit for bit, for any number of CPUs.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != model.d:
@@ -569,20 +597,36 @@ def _eval_rows(model: SplineModel, params: np.ndarray, delta: tuple[int, ...]) -
 
     Each point's controls are read as one window of a strided view of the
     control grid, so no (m, (p+1)^d) rank array is formed. One einsum per
-    value column sums each point's (p+1)^d products.
+    value column sums each point's (p+1)^d products. Every column has its
+    own contiguous grid, so each sums in the same order as a one-column
+    model. Blocks of rows run on one thread per available CPU and write
+    disjoint rows of the result.
     """
     d, p, num_values = model.d, model.degree, model.num_values
-    grid = model.controls.reshape(model.shape + (num_values,))
-    # windows[i_1, ..., i_d] is the (D_v, p+1, ..., p+1) block of controls
-    # whose basis functions start at first indices i_1, ..., i_d
-    windows = sliding_window_view(grid, (p + 1,) * d, axis=tuple(range(d)))
+    # windows[v][i_1, ..., i_d] is the (p+1, ..., p+1) block of column v's
+    # controls whose basis functions start at first indices i_1, ..., i_d
+    windows = [
+        sliding_window_view(np.ascontiguousarray(col).reshape(model.shape), (p + 1,) * d)
+        for col in model.controls.T
+    ]
     out = np.empty((params.shape[0], num_values))
-    for start in range(0, params.shape[0], _EVAL_BLOCK):
-        block = slice(start, start + _EVAL_BLOCK)
-        w, firsts = _local_weights(model.knot_vectors, params[block], delta)
-        local = windows[tuple(firsts)].reshape(w.shape[0], num_values, -1)
-        for v in range(num_values):
-            out[block, v] = np.einsum("ml,ml->m", local[:, v], w)
+    workers = _worker_count()
+    rows = -(-_EVAL_BLOCK // workers)
+    starts = range(0, params.shape[0], rows)
+
+    def evaluate(first):
+        # every workers-th block, in one loop: a call per block frees all its
+        # arrays on return, and malloc hands that memory back to the system
+        # only to fault it in again for the next block (47 % slower on one
+        # core)
+        for start in starts[first::workers]:
+            block = slice(start, start + rows)
+            w, firsts = _local_weights(model.knot_vectors, params[block], delta)
+            for v in range(num_values):
+                local = windows[v][tuple(firsts)].reshape(w.shape)
+                out[block, v] = np.einsum("ml,ml->m", local, w)
+
+    _map_parallel(evaluate, range(min(workers, len(starts))))
     return out
 
 

@@ -1,11 +1,15 @@
 """Solvers and conditioning diagnostics for the assembled normal system.
 
 The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly.
-It is symmetric and, in lexicographic control order, banded with bandwidth
-p*(n_2*...*n_d) + ... + p, so one banded Cholesky factorization (LAPACK
-pbtrf through scipy.linalg.cholesky_banded) serves the direct solve of every
-value component at once and the condition estimate. Conjugate gradients is
-the alternative for large systems.
+N^T N is built in row panels, one per CPU the process may run on, computed
+at the same time: rows lo..hi are N[:, lo:hi]^T N. Each entry is summed in
+ascending point order, as in SciPy's own N.T @ N, so the matrix is the same
+bit for bit whatever the number of CPUs. A is symmetric and, in
+lexicographic control order, banded with bandwidth p*(n_2*...*n_d) + ... + p,
+so one banded Cholesky factorization (LAPACK pbtrf through
+scipy.linalg.cholesky_banded) serves the direct solve of every value
+component at once and the condition estimate. Conjugate gradients is the
+alternative for large systems.
 
 A factorization is judged numerically singular when a leading minor is not
 positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
@@ -26,7 +30,7 @@ from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
-from .bsplines import SplineModel
+from .bsplines import SplineModel, _map_parallel, _worker_count
 
 __all__ = [
     "SolveOptions",
@@ -130,7 +134,7 @@ def solve(
     collocation = system.collocation
     scaled_penalty = _scaled_penalty(system)
 
-    gram = (collocation.T @ collocation).tocsr()
+    gram = _gram(collocation)
     normal = gram
     if scaled_penalty is not None:
         normal = (gram + scaled_penalty.T @ scaled_penalty).tocsr()
@@ -207,6 +211,36 @@ def solve(
         method=method,
     )
     return controls, report
+
+
+def _gram(collocation) -> sparse.csr_matrix:
+    """N^T N in CSR with sorted indices, one row panel per CPU at once.
+
+    Rows lo..hi of the product are N[:, lo:hi]^T N. Each panel's transpose
+    is read from one CSC copy of N, so every entry is the same sum, in
+    ascending point order, as in (N.T @ N).tocsr(), bit for bit.
+    """
+    m, n = collocation.shape
+    by_column = collocation.tocsc()
+    bounds = np.linspace(0, n, min(_worker_count(), n) + 1).astype(int)
+
+    def panel(span):
+        lo, hi = span
+        start, stop = by_column.indptr[lo], by_column.indptr[hi]
+        # N[:, lo:hi]^T as CSR on views of the CSC arrays, set after
+        # construction: the constructor copies a slice shorter than half its
+        # base
+        rows = sparse.csr_matrix((hi - lo, m))
+        rows.indptr = by_column.indptr[lo : hi + 1] - start
+        rows.indices = by_column.indices[start:stop]
+        rows.data = by_column.data[start:stop]
+        product = rows @ collocation
+        product.sort_indices()
+        return product
+
+    panels = _map_parallel(panel, zip(bounds[:-1], bounds[1:]))
+    del by_column  # before stacking, so the peak stays at one copy of N
+    return sparse.vstack(panels, format="csr")
 
 
 def _cg(matrix, b, rtol, maxiter):

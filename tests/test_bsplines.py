@@ -5,12 +5,15 @@ else is checked against independent oracles (dense grid scan, naive full-sum
 evaluation, central finite differences) implemented here in plain numpy.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import BSpline
 from scipy.optimize import brentq
 
+from scatterspline import bsplines
 from scatterspline.bsplines import (
     _EVAL_BLOCK,
     IndexSet,
@@ -539,6 +542,58 @@ class TestEvalKernelProperties:
         for params in bad:
             with pytest.raises(ValueError):
                 eval_model_many(model, params)
+
+
+class TestParallelEvaluation:
+    """Blocks of rows run on one thread per CPU; the CPU count is patched."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_column_sums_like_a_one_column_model(self, d):
+        rng = np.random.default_rng(40 + d)
+        model = random_model(rng, (6,) * d, 3, num_values=3)
+        single = SplineModel(
+            model.knot_vectors, model.controls[:, :1], model.bbox_min, model.bbox_max
+        )
+        params = knot_heavy_params(model, rng, 3000)
+        np.testing.assert_array_equal(
+            eval_model_many(model, params)[:, 0], eval_model_many(single, params)[:, 0]
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bits_do_not_depend_on_cpu_count(self, d, monkeypatch):
+        rng = np.random.default_rng(50 + d)
+        model = random_model(rng, (5,) * d, 2, num_values=2)
+        params = knot_heavy_params(model, rng, 3 * _EVAL_BLOCK + 5)
+        expected = eval_model_many(model, params)
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+            for m in (0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1, len(params)):
+                got = eval_model_many(model, params[:m])
+                assert got.shape == (m, 2)
+                np.testing.assert_array_equal(got, expected[:m])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_bad_parameter_in_last_block_raises(self, workers, monkeypatch):
+        monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(60)
+        model = random_model(rng, (5, 5), 2)
+        params = rng.uniform(0.0, 1.0, (2 * _EVAL_BLOCK + 3, 2))
+        params[-1, 1] = 1.0 + 1e-12
+        with pytest.raises(ValueError, match="outside"):
+            eval_model_many(model, params)
+
+    def test_map_runs_inline_on_one_cpu_and_keeps_item_order(self, monkeypatch):
+        def where(item):
+            return item, threading.get_ident()
+
+        monkeypatch.setattr(bsplines, "_worker_count", lambda: 1)
+        assert bsplines._map_parallel(where, range(5)) == [
+            (i, threading.get_ident()) for i in range(5)
+        ]
+        monkeypatch.setattr(bsplines, "_worker_count", lambda: 3)
+        assert [item for item, _ in bsplines._map_parallel(where, range(50))] == list(
+            range(50)
+        )
 
 
 class TestSplineModelInput:

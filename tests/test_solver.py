@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from scatterspline import solver
-from scatterspline.assembly import FitConfig, PointCloud, assemble_system
+from scatterspline import bsplines, solver
+from scatterspline.assembly import (
+    FitConfig,
+    PointCloud,
+    assemble_system,
+    build_collocation,
+)
 from scatterspline.bsplines import (
     SplineModel,
     eval_model_many,
@@ -263,6 +268,24 @@ class TestBandCholesky:
         assert _band_cholesky(ones) is None
         assert _band_cholesky(sparse.diags([1.0, 1e-13, 1.0]).tocsr()) is None
         assert _band_cholesky(sparse.diags([1.0, 1e-11, 1.0]).tocsr()) is not None
+
+
+class TestGramPanels:
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (5, 4, 6)])
+    def test_equals_scipy_product_for_any_cpu_count(self, shape, monkeypatch):
+        # n_tot 7, 35 and 120 split into panels of unequal width
+        rng = np.random.default_rng(sum(shape))
+        knots = tuple(uniform_clamped_knots(nk, 3) for nk in shape)
+        collocation = build_collocation(rng.uniform(0.0, 1.0, (500, len(shape))), knots)
+        expected = (collocation.T @ collocation).tocsr()
+        for workers in (1, 2, 3, 4):
+            for module in (bsplines, solver):
+                monkeypatch.setattr(module, "_worker_count", lambda: workers)
+            gram = solver._gram(collocation)
+            assert gram.shape == expected.shape
+            np.testing.assert_array_equal(gram.indptr, expected.indptr)
+            np.testing.assert_array_equal(gram.indices, expected.indices)
+            np.testing.assert_array_equal(gram.data, expected.data)
 
 
 class TestResiduals:
