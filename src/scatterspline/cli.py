@@ -153,15 +153,17 @@ def load_model(path):
     (n_tot,) = reader.keyed("controls", 1, int)
     if n_tot != math.prod(shape):
         reader.fail(f"controls count {n_tot} does not match shape")
-    controls = np.empty((n_tot, num_values))
-    for i in range(n_tot):
+    rows = []
+    for _ in range(n_tot):
         parts = reader.next_line("control row")
         if len(parts) != num_values:
             reader.fail(f"control row needs {num_values} values")
         try:
-            controls[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
             reader.fail("bad number in control row")
+    # built from the rows read, never sized by the header's counts alone
+    controls = np.array(rows).reshape(n_tot, num_values)
     try:
         model = SplineModel(tuple(knot_vectors), controls, bbox_min, bbox_max)
     except ValueError as exc:
@@ -185,13 +187,6 @@ def _void_arg(text):
         return VoidSpec((cx, cy), r, s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --void: {exc}")
-
-
-def _orders_arg(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected orders like 2 or 1,2, got {text!r}")
 
 
 def _roi_arg(text):
@@ -234,8 +229,9 @@ def _build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ctrl", type=_int_tuple, required=True, metavar="N1,N2[,N3]")
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--orders", type=_orders_arg, default=(2,), metavar="2|1,2")
-    p.add_argument("--solver", choices=("auto", "direct", "cg"), default="auto")
+    p.add_argument("--orders", type=_int_tuple, default=(2,), metavar="2|1,2")
+    p.add_argument("--solver", choices=("direct", "cg"), default="direct",
+                   help="banded Cholesky (default) or conjugate gradients")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="also write solve diagnostics as key,value CSV")
     p.set_defaults(func=_cmd_fit)

@@ -8,8 +8,8 @@ bit for bit whatever the number of CPUs. A is symmetric and, in
 lexicographic control order, banded with bandwidth p*(n_2*...*n_d) + ... + p,
 so one banded Cholesky factorization (LAPACK pbtrf through
 scipy.linalg.cholesky_banded) serves the direct solve of every value
-component at once and the condition estimate. Conjugate gradients is the
-alternative for large systems.
+component at once and the condition estimate. Conjugate gradients runs only
+when the caller asks for it.
 
 A factorization is judged numerically singular when a leading minor is not
 positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
@@ -42,7 +42,7 @@ __all__ = [
     "condition_number",
 ]
 
-_DIRECT_LIMIT = 20_000
+_CG_RTOL = 1e-10
 _EXACT_COLUMN_LIMIT = 5_000
 _SINGULAR_RATIO = 1e-13
 # smallest min diag(L)^2 / max diag(L)^2 of a Cholesky factor that counts as
@@ -62,7 +62,7 @@ class RankDeficientError(RuntimeError):
 
 
 class NotConvergedError(RuntimeError):
-    """The iterative solver exhausted its iterations above tolerance."""
+    """Conjugate gradients exhausted its iterations above tolerance."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -71,18 +71,23 @@ class NotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """method is 'auto' (direct at desk scale, CG beyond), 'direct', or 'cg'."""
+    """method 'direct' (the default) solves with one banded Cholesky factor.
 
-    method: str = "auto"
-    rtol: float = 1e-10
+    'cg' runs conjugate gradients to a relative residual of 1e-10, for at
+    most maxiter iterations (10 * n_tot when None). The condition estimate
+    factors the normal matrix on either path, so a system whose band does not
+    fit in memory needs method='cg' and estimate_condition=False.
+    """
+
+    method: str = "direct"
     maxiter: int | None = None
     estimate_condition: bool = True
 
     def __post_init__(self):
-        if self.method not in ("auto", "direct", "cg"):
+        if self.method not in ("direct", "cg"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.rtol > 0:
-            raise ValueError("relative tolerance must be positive")
+        if self.maxiter is not None and self.maxiter < 1:
+            raise ValueError("maxiter must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +130,12 @@ def solve(
         It is also raised when the banded Cholesky factorization fails or its
         pivot ratio min diag(L)^2 / max diag(L)^2 is below 1e-12 (numerically
         singular). The direct method always factorizes; conjugate gradients
-        does so, before iterating, only when the condition is estimated.
+        (method='cg') does so, before iterating, only when the condition is
+        estimated.
     NotConvergedError
-        If conjugate gradients stops above tolerance.
+        If conjugate gradients (method='cg') stops above tolerance.
     """
     opts = opts or SolveOptions()
-    n_tot = system.n_tot
     collocation = system.collocation
     scaled_penalty = _scaled_penalty(system)
 
@@ -147,34 +152,29 @@ def solve(
             "smoothing; set a regularization threshold > 0"
         )
 
-    method = opts.method
-    if method == "auto":
-        method = "direct" if n_tot <= _DIRECT_LIMIT else "cg"
-
     rhs = system.rhs
     iterations = 0
     factor = None
-    if method == "direct" or opts.estimate_condition:
+    if opts.method == "direct" or opts.estimate_condition:
         factor = _band_cholesky(normal)
         if factor is None:
             raise RankDeficientError(
                 "normal matrix is numerically singular; "
                 "set a regularization threshold > 0"
             )
-    if method == "direct":
+    if opts.method == "direct":
         controls = linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
     else:
-        maxiter = opts.maxiter if opts.maxiter is not None else 10 * n_tot
+        maxiter = opts.maxiter or 10 * system.n_tot
         cols = []
         for c in range(rhs.shape[1]):
-            x, info, its = _cg(normal, rhs[:, c], opts.rtol, maxiter)
+            x, info, its = _cg(normal, rhs[:, c], maxiter)
             iterations = max(iterations, its)
             if info != 0:
                 resid = float(np.linalg.norm(normal @ x - rhs[:, c]))
                 raise NotConvergedError(
                     f"conjugate gradients stopped after {maxiter} iterations "
-                    f"(residual {resid:.3e}); loosen the tolerance or use the "
-                    "direct method",
+                    f"(residual {resid:.3e}); use the direct method",
                     resid,
                 )
             cols.append(x)
@@ -190,8 +190,7 @@ def solve(
     else:
         stacked_norms = data_norms.copy()
 
-    cond_data = math.nan
-    cond_stacked = math.nan
+    cond_data = cond_stacked = math.nan
     if opts.estimate_condition:
         # the normal matrix is the Gram matrix of the stacked system
         cond_stacked = _condition_from_gram(normal, factor)
@@ -208,7 +207,7 @@ def solve(
         cond_data=cond_data,
         rank_deficient=bool(math.isinf(cond_stacked)),
         not_converged=False,
-        method=method,
+        method=opts.method,
     )
     return controls, report
 
@@ -243,7 +242,7 @@ def _gram(collocation) -> sparse.csr_matrix:
     return sparse.vstack(panels, format="csr")
 
 
-def _cg(matrix, b, rtol, maxiter):
+def _cg(matrix, b, maxiter):
     iterations = 0
 
     def count(_):
@@ -251,7 +250,7 @@ def _cg(matrix, b, rtol, maxiter):
         iterations += 1
 
     x, info = sparse_linalg.cg(
-        matrix, b, rtol=rtol, atol=0.0, maxiter=maxiter, callback=count
+        matrix, b, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, callback=count
     )
     return x, info, iterations
 
@@ -273,7 +272,8 @@ def condition_number(matrix, mode: str = "estimate") -> float:
     at 5000 columns, and returns math.inf when sigma_min <= 1e-13 sigma_max.
 
     estimate mode works on the Gram matrix of the smaller side (A^T A or
-    A A^T, whose eigenvalues are the squared singular values), reordered by
+    A A^T, whose eigenvalues are the squared singular values; _gram builds
+    either one, as it builds the solve's N^T N), reordered by
     reverse Cuthill-McKee only when that narrows its band (on a tensor-product
     fit matrix in lexicographic order it widens it). It returns math.inf when
     the banded Cholesky factorization of the Gram matrix fails or its pivot
@@ -298,7 +298,7 @@ def condition_number(matrix, mode: str = "estimate") -> float:
         svals = np.linalg.svd(matrix.toarray(), compute_uv=False)
         return _condition_from_singular_values(float(svals[0]), float(svals[-1]))
     if mode == "estimate":
-        gram = (matrix.T @ matrix if cols <= rows else matrix @ matrix.T).tocsr()
+        gram = _gram(matrix if cols <= rows else matrix.T)
         order = csgraph.reverse_cuthill_mckee(gram, symmetric_mode=True)
         permuted = gram[order][:, order]
         if _bandwidth(permuted) < _bandwidth(gram):

@@ -129,6 +129,32 @@ class TestModelFile:
         with pytest.raises(ModelFileError, match="line 2"):
             load_model(path)
 
+    def test_bad_control_row_names_its_line(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(path, random_model())
+        lines = path.read_text().splitlines()
+        lines[-5] = "two"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ModelFileError, match=f"line {len(lines) - 4}: bad number"
+        ):
+            load_model(path)
+
+    def test_huge_value_count_is_io_error(self, tmp_path, capsys):
+        # the header's counts must not size an array before the rows are read
+        kv = uniform_clamped_knots(3, 2)
+        path = tmp_path / "bad.txt"
+        save_model(path, SplineModel((kv,), np.ones((3, 1)), [0.0], [1.0]))
+        text = path.read_text().replace("values 1", "values 99999999999999", 1)
+        path.write_text(text)
+        assert len(text.splitlines()) == 12
+        code = main(["eval", "--model", str(path), "--grid", "3",
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "line 10: control row needs 99999999999999 values" in err[0]
+
 
 class TestSynth:
     def test_row_count(self, tmp_path, capsys):
@@ -334,6 +360,19 @@ class TestFit:
             assert code == 4, bad_row
             assert len(err) == 1 and err[0].startswith("error:")
             assert "line 5" in err[0]
+
+    def test_auto_solver_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        spline_csv(data)
+        code = main(
+            [
+                "fit", "--input", str(data), "--degree", "3",
+                "--ctrl", "8,8", "--solver", "auto",
+                "--out", str(tmp_path / "m.model"),
+            ]
+        )
+        assert code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
     def test_invalid_orders_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -212,6 +212,32 @@ class TestMethods:
         with pytest.raises(ValueError):
             SolveOptions(method="gauss")
 
+    def test_auto_is_not_a_method(self):
+        with pytest.raises(ValueError, match="unknown method 'auto'"):
+            SolveOptions(method="auto")
+
+    @pytest.mark.parametrize("maxiter", [0, -1])
+    def test_maxiter_below_one_rejected(self, maxiter):
+        # zero iterations would return the zero start vector as converged
+        with pytest.raises(ValueError, match="maxiter"):
+            SolveOptions(method="cg", maxiter=maxiter)
+
+    def test_default_is_direct_above_twenty_thousand_controls(self):
+        # a 1-D linear spline with 25,000 controls, two samples per span
+        n = 25_000
+        rng = np.random.default_rng(117)
+        coords = np.sort(rng.uniform(0, 1, 2 * n))[:, None]
+        cloud = PointCloud(coords, np.sin(7 * coords[:, 0]), [0.0], [1.0])
+        system = assemble_system(
+            cloud, FitConfig(degree=1, shape=(n,), threshold=1.0, orders=(1,))
+        )
+        default, report = solve(system, NO_COND)
+        direct, _ = solve(
+            system, SolveOptions(method="direct", estimate_condition=False)
+        )
+        assert report.method == "direct" and report.iterations == 0
+        np.testing.assert_array_equal(default, direct)
+
 
 def random_regularized_system(seed, shape, degree, num_values=2):
     """Uniform cloud with a void at the domain centre, 10 samples per control.
@@ -277,15 +303,26 @@ class TestGramPanels:
         rng = np.random.default_rng(sum(shape))
         knots = tuple(uniform_clamped_knots(nk, 3) for nk in shape)
         collocation = build_collocation(rng.uniform(0.0, 1.0, (500, len(shape))), knots)
-        expected = (collocation.T @ collocation).tocsr()
-        for workers in (1, 2, 3, 4):
-            for module in (bsplines, solver):
-                monkeypatch.setattr(module, "_worker_count", lambda: workers)
-            gram = solver._gram(collocation)
-            assert gram.shape == expected.shape
-            np.testing.assert_array_equal(gram.indptr, expected.indptr)
-            np.testing.assert_array_equal(gram.indices, expected.indices)
-            np.testing.assert_array_equal(gram.data, expected.data)
+        # the wide input is condition_number's A A^T, _gram of A's transpose
+        wide = sparse.random(
+            len(shape) + 6, 90, density=0.3, random_state=7, format="csr",
+            data_rvs=rng.standard_normal,
+        )
+        wide_product = (wide @ wide.T).tocsr()
+        wide_product.sort_indices()  # SciPy leaves this product unsorted
+        cases = (
+            (collocation, (collocation.T @ collocation).tocsr()),
+            (wide.T, wide_product),
+        )
+        for matrix, expected in cases:
+            for workers in (1, 2, 3, 4):
+                for module in (bsplines, solver):
+                    monkeypatch.setattr(module, "_worker_count", lambda: workers)
+                gram = solver._gram(matrix)
+                assert gram.shape == expected.shape
+                np.testing.assert_array_equal(gram.indptr, expected.indptr)
+                np.testing.assert_array_equal(gram.indices, expected.indices)
+                np.testing.assert_array_equal(gram.data, expected.data)
 
 
 class TestResiduals:
