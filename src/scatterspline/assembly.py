@@ -20,6 +20,7 @@ from .bsplines import (
     KnotVector,
     dim_maximizers,
     _unit_params,
+    owned_box,
     owned_finite,
     tensor_basis_rows,
     uniform_clamped_knots,
@@ -66,15 +67,9 @@ class PointCloud:
             raise ValueError("values must be (m, D_v) matching coords")
         if coords.shape[0] < 1:
             raise ValueError("need at least one point")
-        d = coords.shape[1]
-        lo = self.bbox_min
-        hi = self.bbox_max
-        lo = coords.min(axis=0) if lo is None else owned_finite(lo, "bbox_min")
-        hi = coords.max(axis=0) if hi is None else owned_finite(hi, "bbox_max")
-        if lo.shape != (d,) or hi.shape != (d,):
-            raise ValueError("bounding box must have one (min, max) per dimension")
-        if np.any(lo >= hi):
-            raise ValueError("bounding box must have min < max in every dimension")
+        lo = coords.min(axis=0) if self.bbox_min is None else self.bbox_min
+        hi = coords.max(axis=0) if self.bbox_max is None else self.bbox_max
+        lo, hi = owned_box(lo, hi, coords.shape[1])
         if np.any(coords < lo) or np.any(coords > hi):
             raise ValueError("bounding box does not contain all points")
         for arr in (coords, values, lo, hi):

@@ -84,6 +84,17 @@ def owned_finite(x, name: str) -> np.ndarray:
     return arr
 
 
+def owned_box(bbox_min, bbox_max, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A bounding box as owned finite arrays, one min < max per dimension."""
+    lo = owned_finite(bbox_min, "bbox_min")
+    hi = owned_finite(bbox_max, "bbox_max")
+    if lo.shape != (d,) or hi.shape != (d,):
+        raise ValueError("bounding box must have one (min, max) per dimension")
+    if np.any(lo >= hi):
+        raise ValueError("bounding box must have min < max in every dimension")
+    return lo, hi
+
+
 @dataclass(frozen=True, eq=False)
 class KnotVector:
     """A clamped, nondecreasing knot sequence on [0, 1].
@@ -467,12 +478,7 @@ class SplineModel:
             raise ValueError(
                 f"control rows {controls.shape[0]} != product of basis counts {n_tot}"
             )
-        lo = owned_finite(self.bbox_min, "bbox_min")
-        hi = owned_finite(self.bbox_max, "bbox_max")
-        if lo.shape != (len(kvs),) or hi.shape != (len(kvs),):
-            raise ValueError("bounding box must have one (min, max) per dimension")
-        if np.any(lo >= hi):
-            raise ValueError("bounding box must have min < max in every dimension")
+        lo, hi = owned_box(self.bbox_min, self.bbox_max, len(kvs))
         for arr in (controls, lo, hi):
             arr.flags.writeable = False
         object.__setattr__(self, "knot_vectors", kvs)
@@ -628,6 +634,12 @@ def _eval_rows(model: SplineModel, params: np.ndarray, delta: tuple[int, ...]) -
 
     _map_parallel(evaluate, range(min(workers, len(starts))))
     return out
+
+
+def grid_points(axes) -> np.ndarray:
+    """A tensor grid's points as rows in eval_model_grid's order, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def eval_model_grid(model: SplineModel, axes) -> np.ndarray:

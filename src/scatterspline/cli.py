@@ -1,32 +1,38 @@
 """Command-line front end: generate clouds, fit models, evaluate, report.
 
-Exit codes: 0 success, 2 usage or invalid settings, 3 numerical failure
-(rank-deficient or non-converged fit), 4 unreadable or malformed files.
-Every failure prints a single line starting with `error:` to stderr.
+The file formats live in `datasets`, including the `save_model`,
+`load_model` and `ModelFileError` this module re-exports. Exit codes: 0
+success, 2 usage or invalid settings, 3 numerical failure (rank-deficient or
+non-converged fit), 4 unreadable or malformed files. Every failure prints a
+single line starting with `error:` to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from .assembly import FitConfig, PointCloud, assemble_system
-from .bsplines import KnotVector, SplineModel, eval_model_many
+from .bsplines import SplineModel, eval_model_many
 from .datasets import (
     CsvParseError,
+    ModelFileError,
     SynthConfig,
     VoidSpec,
+    format_key_values,
     generate_annulus_cloud,
     generate_polysinc_cloud,
     grid_to_cloud,
+    load_model,
     polysinc,
     read_csv,
     read_points,
     resample_grid,
+    save_model,
     write_csv,
+    write_key_values,
     write_table,
 )
 from .metrics import RegionOfInterest, lambda_field, pointwise_errors
@@ -38,138 +44,6 @@ from .solver import (
 )
 
 __all__ = ["main", "save_model", "load_model", "ModelFileError"]
-
-_MAGIC = "spline-model"
-_VERSION = 1
-
-
-class ModelFileError(ValueError):
-    """A model file that cannot be parsed or is internally inconsistent."""
-
-
-def _fmt(values) -> str:
-    return " ".join(format(float(v), ".17g") for v in values)
-
-
-def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
-    """Write a model as versioned structured text with full-precision numbers.
-
-    threshold and orders are optional fit settings carried along so later
-    reporting can reassemble the penalty for the same configuration.
-    """
-    lines = [
-        f"{_MAGIC} {_VERSION}",
-        f"dim {model.d}",
-        f"values {model.num_values}",
-        f"degree {model.degree}",
-        "shape " + " ".join(str(n) for n in model.shape),
-        "bbox_min " + _fmt(model.bbox_min),
-        "bbox_max " + _fmt(model.bbox_max),
-    ]
-    if threshold is not None:
-        lines.append("threshold " + format(float(threshold), ".17g"))
-    if orders is not None:
-        lines.append("orders " + " ".join(str(int(o)) for o in orders))
-    for kv in model.knot_vectors:
-        lines.append("knots " + _fmt(kv.knots))
-    lines.append(f"controls {model.n_tot}")
-    for row in model.controls:
-        lines.append(_fmt(row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-class _ModelReader:
-    def __init__(self, path):
-        self.path = path
-        with open(path, "r", encoding="utf-8") as handle:
-            self.lines = handle.read().splitlines()
-        self.at = 0
-
-    def fail(self, message):
-        raise ModelFileError(f"{self.path}: line {self.at}: {message}")
-
-    def next_line(self, key=None):
-        if self.at >= len(self.lines):
-            self.at += 1
-            self.fail(f"unexpected end of file (wanted {key or 'data'})")
-        line = self.lines[self.at]
-        self.at += 1
-        return line.split()
-
-    def keyed(self, key, count=None, kind=float):
-        parts = self.next_line(key)
-        if not parts or parts[0] != key:
-            self.fail(f"expected {key!r}")
-        try:
-            values = [kind(p) for p in parts[1:]]
-        except ValueError:
-            self.fail(f"bad number in {key!r}")
-        if count is not None and len(values) != count:
-            self.fail(f"{key!r} needs {count} values, got {len(values)}")
-        return values
-
-    def peek_key(self):
-        if self.at >= len(self.lines):
-            return None
-        parts = self.lines[self.at].split()
-        return parts[0] if parts else None
-
-
-def load_model(path):
-    """Read a saved model; returns (model, settings dict).
-
-    settings carries 'threshold' and 'orders' when the file recorded them,
-    else None. Raises ModelFileError on any structural problem.
-    """
-    reader = _ModelReader(path)
-    head = reader.next_line("header")
-    if len(head) != 2 or head[0] != _MAGIC:
-        reader.fail(f"not a {_MAGIC} file")
-    if head[1] != str(_VERSION):
-        reader.fail(f"unsupported version {head[1]}")
-    (d,) = reader.keyed("dim", 1, int)
-    (num_values,) = reader.keyed("values", 1, int)
-    (degree,) = reader.keyed("degree", 1, int)
-    if d < 1 or num_values < 1 or degree < 1:
-        reader.fail("dim, values, and degree must be positive")
-    shape = reader.keyed("shape", d, int)
-    bbox_min = reader.keyed("bbox_min", d)
-    bbox_max = reader.keyed("bbox_max", d)
-    settings = {"threshold": None, "orders": None}
-    if reader.peek_key() == "threshold":
-        (settings["threshold"],) = reader.keyed("threshold", 1)
-        if not 0.0 <= settings["threshold"] < math.inf:
-            reader.fail("threshold must be finite and >= 0")
-    if reader.peek_key() == "orders":
-        settings["orders"] = tuple(reader.keyed("orders", None, int))
-    knot_vectors = []
-    for k in range(d):
-        knots = reader.keyed("knots", shape[k] + degree + 1)
-        try:
-            knot_vectors.append(KnotVector(degree, np.array(knots)))
-        except ValueError as exc:
-            reader.fail(f"invalid knot vector: {exc}")
-    (n_tot,) = reader.keyed("controls", 1, int)
-    if n_tot != math.prod(shape):
-        reader.fail(f"controls count {n_tot} does not match shape")
-    rows = []
-    for _ in range(n_tot):
-        parts = reader.next_line("control row")
-        if len(parts) != num_values:
-            reader.fail(f"control row needs {num_values} values")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            reader.fail("bad number in control row")
-    # built from the rows read, never sized by the header's counts alone
-    controls = np.array(rows).reshape(n_tot, num_values)
-    try:
-        model = SplineModel(tuple(knot_vectors), controls, bbox_min, bbox_max)
-    except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
-    return model, settings
-
 
 def _int_tuple(text):
     try:
@@ -277,29 +151,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _write_kv_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("key,value\n")
-        for key, value in rows:
-            handle.write(f"{key},{value}\n")
-
-
 def _report_rows(report, threshold, lambdas):
     rows = [
         ("method", report.method),
         ("iterations", report.iterations),
         ("rank_deficient", int(report.rank_deficient)),
-        ("not_converged", int(report.not_converged)),
-        ("cond_stacked", format(report.cond_stacked, ".17g")),
-        ("cond_data", format(report.cond_data, ".17g")),
-        ("threshold", format(threshold, ".17g")),
+        ("cond_stacked", report.cond_stacked),
+        ("cond_data", report.cond_data),
+        ("threshold", threshold),
         ("lambda_positive", int(np.count_nonzero(lambdas > 0))),
-        ("lambda_max", format(lambdas.max(initial=0.0), ".17g")),
+        ("lambda_max", lambdas.max(initial=0.0)),
     ]
-    for k, value in enumerate(report.data_residual_norms):
-        rows.append((f"data_residual_{k + 1}", format(value, ".17g")))
-    for k, value in enumerate(report.residual_norms):
-        rows.append((f"stacked_residual_{k + 1}", format(value, ".17g")))
+    rows += [(f"data_residual_{k + 1}", v) for k, v in enumerate(report.data_residual_norms)]
+    rows += [(f"stacked_residual_{k + 1}", v) for k, v in enumerate(report.residual_norms)]
     return rows
 
 
@@ -316,9 +180,8 @@ def _cmd_fit(args) -> int:
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
     save_model(args.out, model, threshold=args.threshold, orders=args.orders)
     if args.report:
-        _write_kv_csv(
-            args.report, _report_rows(report, args.threshold, system.lambdas)
-        )
+        rows = _report_rows(report, args.threshold, system.lambdas)
+        write_key_values(args.report, rows)
     residual = float(np.max(report.data_residual_norms))
     print(
         f"fit {cloud.coords.shape[0]} points with {config.n_tot} controls, "
@@ -358,14 +221,13 @@ def _cmd_report(args) -> int:
         reference = cloud
     stats = pointwise_errors(model, reference, roi=args.roi, grid_shape=args.grid)
     rows = [
-        ("max_error", format(stats.max_error, ".17g")),
-        ("rms_error", format(stats.rms_error, ".17g")),
+        ("max_error", stats.max_error),
+        ("rms_error", stats.rms_error),
         ("num_samples", stats.num_samples),
     ]
-    for key, value in rows:
-        print(f"{key}={value}")
+    print(format_key_values(rows, "="), end="")
     if args.out:
-        _write_kv_csv(args.out, rows)
+        write_key_values(args.out, rows)
     if args.lambda_out:
         if cloud is None:
             raise ValueError("lambda export needs the fitted cloud CSV as --reference")
@@ -379,8 +241,7 @@ def _cmd_report(args) -> int:
         )
         system = assemble_system(cloud, config)
         field = lambda_field(system)
-        span = model.bbox_max - model.bbox_min
-        physical = model.bbox_min + field.maximizers * span
+        physical = model.bbox_min + field.maximizers * (model.bbox_max - model.bbox_min)
         header = [f"x{k + 1}" for k in range(model.d)]
         header += ["data_sum", "penalty_sum", "lambda"]
         columns = (field.data_col_sums, field.penalty_col_sums, field.lambdas)
@@ -396,18 +257,11 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except (RankDeficientError, NotConvergedError) as exc:
+    except (RankDeficientError, NotConvergedError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CsvParseError, ModelFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (RankDeficientError, NotConvergedError)):
+            return 3
+        return 4 if isinstance(exc, (CsvParseError, ModelFileError, OSError)) else 2
 
 
 if __name__ == "__main__":

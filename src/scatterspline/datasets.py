@@ -1,9 +1,10 @@
-"""Synthetic benchmark clouds, CSV ingestion/export, and grid resampling.
+"""Synthetic benchmark clouds, grid resampling, and every file format.
 
 The generators draw from numpy's default PCG64 stream, so a fixed seed gives
 bit-identical clouds on every platform. CSV files carry a `x1,..,xd,v1,..,vD`
-header and full-precision (17 significant digit) decimal values, which round
-trip exactly.
+header. The point tables, the model file and the key,value reports write
+every number through one 17 significant digit template, so each value reads
+back bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .assembly import PointCloud
-from .bsplines import SplineModel, eval_model_grid
+from .bsplines import KnotVector, SplineModel, eval_model_grid, grid_points
 
 __all__ = [
     "VoidSpec",
@@ -30,6 +31,9 @@ __all__ = [
     "read_points",
     "write_csv",
     "write_table",
+    "ModelFileError",
+    "save_model",
+    "load_model",
     "resample_grid",
     "grid_to_cloud",
     "POLYSINC_BOX",
@@ -213,6 +217,9 @@ def _annulus_values(coords, center, half):
 
 
 _BLOCK_ROWS = 8192  # rows parsed or formatted per block
+# every number written; the text equals format() at 17 significant digits,
+# which reads back to the same double
+_NUMBER = "%.17g"
 
 
 class CsvParseError(ValueError):
@@ -343,18 +350,155 @@ def write_csv(cloud: PointCloud, path) -> None:
 
 
 def write_table(path, header, table) -> None:
-    """Write a header line and a 2-D float table as CSV, each value as %.17g.
-
-    17 significant digits read back to the same double; the bytes equal
-    format(v, ".17g") value for value, and rows are written a block at a time.
-    """
-    table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """Write a header line and a 2-D float table as CSV at full precision."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, table.shape[0], _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            handle.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+        handle.writelines(_format_rows(table, ","))
+
+
+def _format_rows(table, sep):
+    """Yield a 2-D float table's text lines, one % format per block of rows."""
+    table = np.asarray(table, dtype=float)
+    row = sep.join([_NUMBER] * table.shape[1]) + "\n"
+    for start in range(0, table.shape[0], _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def format_key_values(rows, sep=",") -> str:
+    """One `key<sep>value` line per row: a float at full precision, else str()."""
+    return "".join(
+        f"{key}{sep}{_NUMBER % value if isinstance(value, float) else value}\n"
+        for key, value in rows
+    )
+
+
+def write_key_values(path, rows) -> None:
+    """Write (key, value) rows as a `key,value` CSV report."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("key,value\n" + format_key_values(rows))
+
+
+_MAGIC = "spline-model"
+_VERSION = 1
+
+
+class ModelFileError(ValueError):
+    """A model file that cannot be parsed or is internally inconsistent."""
+
+
+def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
+    """Write a model as versioned structured text with full-precision numbers.
+
+    threshold and orders are optional fit settings carried along so later
+    reporting can reassemble the penalty for the same configuration.
+    """
+
+    def keyed(key, values):
+        return key + " " + "".join(_format_rows([values], " "))
+
+    head = [
+        f"{_MAGIC} {_VERSION}\n",
+        f"dim {model.d}\n",
+        f"values {model.num_values}\n",
+        f"degree {model.degree}\n",
+        "shape " + " ".join(str(n) for n in model.shape) + "\n",
+        keyed("bbox_min", model.bbox_min),
+        keyed("bbox_max", model.bbox_max),
+    ]
+    if threshold is not None:
+        head.append(keyed("threshold", [float(threshold)]))
+    if orders is not None:
+        head.append("orders " + " ".join(str(int(o)) for o in orders) + "\n")
+    head += [keyed("knots", kv.knots) for kv in model.knot_vectors]
+    head.append(f"controls {model.n_tot}\n")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(head))
+        handle.writelines(_format_rows(model.controls, " "))
+
+
+class _ModelReader:
+    def __init__(self, path):
+        self.path = path
+        with open(path, "r", encoding="utf-8") as handle:
+            self.lines = handle.read().splitlines()
+        self.at = 0  # lines read so far
+
+    def fail(self, message):
+        raise ModelFileError(f"{self.path}: line {self.at}: {message}")
+
+    def next_line(self, wanted):
+        self.at += 1
+        if self.at > len(self.lines):
+            self.fail(f"unexpected end of file (wanted {wanted})")
+        return self.lines[self.at - 1].split()
+
+    def numbers(self, what, parts, count=None, kind=float):
+        try:
+            values = [kind(p) for p in parts]
+        except ValueError:
+            self.fail(f"bad number in {what}")
+        if count is not None and len(values) != count:
+            self.fail(f"{what} needs {count} values, got {len(values)}")
+        return values
+
+    def keyed(self, key, count=None, kind=float):
+        parts = self.next_line(key)
+        if not parts or parts[0] != key:
+            self.fail(f"expected {key!r}")
+        return self.numbers(repr(key), parts[1:], count, kind)
+
+    def peek_key(self):
+        upcoming = self.lines[self.at].split() if self.at < len(self.lines) else []
+        return upcoming[0] if upcoming else None
+
+
+def load_model(path):
+    """Read a saved model; returns (model, settings dict).
+
+    settings carries 'threshold' and 'orders' when the file recorded them,
+    else None. Raises ModelFileError on any structural problem.
+    """
+    reader = _ModelReader(path)
+    head = reader.next_line("header")
+    if len(head) != 2 or head[0] != _MAGIC:
+        reader.fail(f"not a {_MAGIC} file")
+    if head[1] != str(_VERSION):
+        reader.fail(f"unsupported version {head[1]}")
+    (d,) = reader.keyed("dim", 1, int)
+    (num_values,) = reader.keyed("values", 1, int)
+    (degree,) = reader.keyed("degree", 1, int)
+    if d < 1 or num_values < 1 or degree < 1:
+        reader.fail("dim, values, and degree must be positive")
+    shape = reader.keyed("shape", d, int)
+    bbox_min = reader.keyed("bbox_min", d)
+    bbox_max = reader.keyed("bbox_max", d)
+    settings = {"threshold": None, "orders": None}
+    if reader.peek_key() == "threshold":
+        (settings["threshold"],) = reader.keyed("threshold", 1)
+        if not 0.0 <= settings["threshold"] < math.inf:
+            reader.fail("threshold must be finite and >= 0")
+    if reader.peek_key() == "orders":
+        settings["orders"] = tuple(reader.keyed("orders", None, int))
+    knot_vectors = []
+    for k in range(d):
+        knots = reader.keyed("knots", shape[k] + degree + 1)
+        try:
+            knot_vectors.append(KnotVector(degree, np.array(knots)))
+        except ValueError as exc:
+            reader.fail(f"invalid knot vector: {exc}")
+    (n_tot,) = reader.keyed("controls", 1, int)
+    if n_tot != math.prod(shape):
+        reader.fail(f"controls count {n_tot} does not match shape")
+    what = "control row"
+    rows = [reader.numbers(what, reader.next_line(what), num_values) for _ in range(n_tot)]
+    # built from the rows read, never sized by the header's counts alone
+    controls = np.array(rows).reshape(n_tot, num_values)
+    try:
+        model = SplineModel(tuple(knot_vectors), controls, bbox_min, bbox_max)
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
+    return model, settings
 
 
 def resample_grid(model: SplineModel, shape) -> tuple[list[np.ndarray], np.ndarray]:
@@ -379,7 +523,5 @@ def resample_grid(model: SplineModel, shape) -> tuple[list[np.ndarray], np.ndarr
 
 def grid_to_cloud(axes, values) -> PointCloud:
     """Flatten grid output to a cloud in row-major (last axis fastest) order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=1)
-    flat = values.reshape(coords.shape[0], -1)
-    return PointCloud(coords, flat)
+    coords = grid_points(axes)
+    return PointCloud(coords, values.reshape(coords.shape[0], -1))

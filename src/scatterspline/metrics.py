@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LinearSystem, PointCloud
-from .bsplines import SplineModel, eval_model_grid, eval_model_many
+from .bsplines import SplineModel, eval_model_grid, eval_model_many, grid_points
 
 __all__ = [
     "RegionOfInterest",
@@ -118,10 +118,8 @@ def pointwise_errors(model: SplineModel, reference, roi=None, grid_shape=None):
     # ax[:, None] broadcasts against every box dimension; column k is axis k
     param_axes = [model.to_params(ax[:, None])[:, k] for k, ax in enumerate(axes)]
     predicted = eval_model_grid(model, param_axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in mesh], axis=1)
-    ref_values = np.asarray(reference(coords), dtype=float)
-    ref_values = ref_values.reshape(coords.shape[0], -1)
+    coords = grid_points(axes)
+    ref_values = np.asarray(reference(coords), dtype=float).reshape(coords.shape[0], -1)
     if ref_values.shape[1] != model.num_values:
         raise ValueError(
             f"reference returned {ref_values.shape[1]} value components, "
@@ -148,12 +146,9 @@ class LambdaField:
 
 def lambda_field(system: LinearSystem) -> LambdaField:
     """Lay out the assembled penalty weights control point by control point."""
-    axes = system.maximizer_axes
-    mesh = np.meshgrid(*axes, indexing="ij")
-    maximizers = np.stack([g.ravel() for g in mesh], axis=1)
     return LambdaField(
         shape=system.config.shape,
-        maximizers=maximizers,
+        maximizers=grid_points(system.maximizer_axes),
         data_col_sums=system.data_col_sums.copy(),
         penalty_col_sums=system.penalty_col_sums.copy(),
         lambdas=system.lambdas.copy(),

@@ -107,7 +107,6 @@ class FitReport:
     cond_stacked: float
     cond_data: float
     rank_deficient: bool
-    not_converged: bool
     method: str
 
 
@@ -206,7 +205,6 @@ def solve(
         cond_stacked=cond_stacked,
         cond_data=cond_data,
         rank_deficient=bool(math.isinf(cond_stacked)),
-        not_converged=False,
         method=opts.method,
     )
     return controls, report

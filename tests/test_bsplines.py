@@ -31,6 +31,7 @@ from scatterspline.bsplines import (
     eval_model_many,
     eval_model_grid,
     find_span,
+    grid_points,
     lex_rank,
     lex_unrank,
     tensor_basis_rows,
@@ -522,6 +523,14 @@ class TestEvalKernelProperties:
         np.testing.assert_allclose(
             eval_model_many(model, points), grid, rtol=1e-14, atol=1e-14
         )
+
+    def test_grid_points_follow_grid_order(self):
+        axes = [np.array([0.0, 0.5]), np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.25])]
+        points = grid_points(axes)
+        assert points.shape == (12, 3)
+        for i, row in enumerate(points):
+            index = np.unravel_index(i, (2, 3, 2))
+            np.testing.assert_array_equal(row, [ax[k] for ax, k in zip(axes, index)])
 
     @given(eval_models())
     @settings(max_examples=15, deadline=None)

@@ -20,8 +20,10 @@ from scatterspline import (
     uniform_clamped_knots,
     write_csv,
 )
+from scatterspline import cli, datasets
 from scatterspline.cli import ModelFileError, load_model, main, save_model
 from scatterspline.datasets import grid_to_cloud
+from scatterspline.solver import FitReport
 
 
 def random_model(seed=0, n=8, p=3, box=((-2.0, 3.0), (1.0, 4.0))):
@@ -156,6 +158,35 @@ class TestModelFile:
         assert "line 10: control row needs 99999999999999 values" in err[0]
 
 
+    def test_round_trip_bit_identical_across_block_seam(self, tmp_path):
+        special = [-0.0, 5e-324, 1e300, 0.1, -2.5e-310, 2.0]
+        kv = uniform_clamped_knots(datasets._BLOCK_ROWS + 3, 1)
+        rng = np.random.default_rng(7)
+        controls = rng.normal(size=(kv.n, 2)) * 10.0 ** rng.integers(-300, 300, (kv.n, 2))
+        controls[: len(special), 0] = special
+        controls[-len(special):, 1] = special
+        model = SplineModel((kv,), controls, [5e-324], [1e300])
+        path = tmp_path / "long.model"
+        save_model(path, model, threshold=0.1, orders=(2,))
+        back, settings = load_model(path)
+        def bits(array):
+            return np.ascontiguousarray(array).view(np.uint64)
+
+        assert_array_equal(bits(back.controls), bits(model.controls))
+        assert_array_equal(bits(back.knot_vectors[0].knots), bits(kv.knots))
+        assert_array_equal(bits(back.bbox_min), bits(model.bbox_min))
+        assert_array_equal(bits(back.bbox_max), bits(model.bbox_max))
+        assert settings == {"threshold": 0.1, "orders": (2,)}
+        copy = tmp_path / "copy.model"
+        save_model(copy, back, **settings)
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_cli_names_are_the_datasets_functions(self):
+        assert cli.save_model is datasets.save_model
+        assert cli.load_model is datasets.load_model
+        assert cli.ModelFileError is datasets.ModelFileError
+
+
 class TestSynth:
     def test_row_count(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -278,6 +309,50 @@ class TestFit:
         assert float(rows["data_residual_1"]) <= 1e-8
         assert rows["rank_deficient"] == "0"
         assert float(rows["lambda_positive"]) == 0
+
+    def test_report_rows_keep_full_precision(self, tmp_path):
+        data = tmp_path / "d.csv"
+        spline_csv(data, seed=10)
+        rep = tmp_path / "r.csv"
+        code = main(["fit", "--input", str(data), "--degree", "3", "--ctrl", "8,8",
+                     "--threshold", "0.1", "--out", str(tmp_path / "m.model"),
+                     "--report", str(rep)])
+        assert code == 0
+        lines = rep.read_text().splitlines()
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert list(rows) == [
+            "method", "iterations", "rank_deficient", "cond_stacked", "cond_data",
+            "threshold", "lambda_positive", "lambda_max", "data_residual_1",
+            "stacked_residual_1",
+        ]
+        assert rows["method"] == "direct"
+        for key in ("iterations", "rank_deficient", "lambda_positive"):
+            assert rows[key] == str(int(rows[key]))
+        floats = [key for key in rows if key not in ("method", "iterations",
+                                                      "rank_deficient", "lambda_positive")]
+        for key in floats:
+            assert rows[key] == format(float(rows[key]), ".17g"), key
+        assert rows["threshold"] == "0.10000000000000001"
+
+    def test_report_rows_write_inf_and_ints(self):
+        report = FitReport(
+            residual_norms=np.array([0.1, 2.0]),
+            data_residual_norms=np.array([1 / 3, 0.0]),
+            iterations=17,
+            cond_stacked=math.inf,
+            cond_data=math.inf,
+            rank_deficient=True,
+            method="cg",
+        )
+        rows = cli._report_rows(report, 0.1, np.array([0.0, 0.25, 1e-300]))
+        assert datasets.format_key_values(rows) == (
+            "method,cg\niterations,17\nrank_deficient,1\ncond_stacked,inf\n"
+            "cond_data,inf\nthreshold,0.10000000000000001\nlambda_positive,2\n"
+            "lambda_max,0.25\ndata_residual_1,0.33333333333333331\n"
+            "data_residual_2,0\nstacked_residual_1,0.10000000000000001\n"
+            "stacked_residual_2,2\n"
+        )
 
     def test_annulus_unregularized_exits_3(self, tmp_path, capsys):
         data = tmp_path / "a.csv"
@@ -524,6 +599,23 @@ class TestReport:
         assert float(rows["max_error"]) < 1e-8
         assert float(rows["rms_error"]) <= float(rows["max_error"])
         assert int(rows["num_samples"]) == 900
+
+    def test_out_file_holds_the_printed_lines(self, tmp_path, capsys):
+        model_path, data = self._fitted(tmp_path)
+        capsys.readouterr()  # drop the fit's own line
+        out = tmp_path / "r.csv"
+        code = main(["report", "--model", str(model_path), "--reference", str(data),
+                     "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out
+        header, body = out.read_text().split("\n", 1)
+        assert header == "key,value"
+        assert body.replace(",", "=") == printed
+        rows = dict(line.split("=") for line in printed.splitlines())
+        assert list(rows) == ["max_error", "rms_error", "num_samples"]
+        assert rows["num_samples"] == "900"
+        for key in ("max_error", "rms_error"):
+            assert rows[key] == format(float(rows[key]), ".17g")
 
     def test_roi_restricts_samples(self, tmp_path):
         model_path, data = self._fitted(tmp_path)

@@ -360,6 +360,44 @@ class TestCsvBlocks:
             expected = self.formatted(header, np.hstack([cloud.coords, cloud.values]))
             assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_model_bytes_match_per_value_format(self, tmp_path):
+        def numbers(values):
+            return " ".join(format(float(v), ".17g") for v in values)
+
+        special = [-0.0, 5e-324, 1e300, 0.1, -2.5e-310, 2.0]
+        kx, ky = uniform_clamped_knots(2, 1), uniform_clamped_knots(3, 1)
+        rng = np.random.default_rng(44)
+        long_1d = uniform_clamped_knots(BLOCK + 3, 1)  # controls cross a block seam
+        scales = 10.0 ** rng.integers(-300, 300, BLOCK + 3)
+        cases = [
+            (SplineModel((kx, ky), np.reshape(special, (6, 1)), [-0.0, 5e-324], [0.1, 1e300]),
+             0.1, (1, 2)),
+            (SplineModel((kx, ky), np.column_stack([special, special[::-1]]), [0, 0], [1, 1]),
+             None, None),
+            (SplineModel((long_1d,), rng.normal(size=(BLOCK + 3, 1)) * scales[:, None],
+                         [-1.0], [2.0]), 1e300, (2,)),
+        ]
+        path = tmp_path / "m.txt"
+        for model, threshold, orders in cases:
+            datasets.save_model(path, model, threshold=threshold, orders=orders)
+            lines = [
+                "spline-model 1",
+                f"dim {model.d}",
+                f"values {model.num_values}",
+                f"degree {model.degree}",
+                "shape " + " ".join(str(n) for n in model.shape),
+                "bbox_min " + numbers(model.bbox_min),
+                "bbox_max " + numbers(model.bbox_max),
+            ]
+            if threshold is not None:
+                lines.append("threshold " + numbers([threshold]))
+            if orders is not None:
+                lines.append("orders " + " ".join(str(o) for o in orders))
+            lines += ["knots " + numbers(kv.knots) for kv in model.knot_vectors]
+            lines.append(f"controls {model.n_tot}")
+            lines += [numbers(row) for row in model.controls]
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_reader_matches_float_on_whitespace_crlf_and_blank_lines(self, tmp_path):
         rng = np.random.default_rng(42)
         table = rng.normal(size=(2 * BLOCK + 5, 3))
