@@ -18,11 +18,11 @@ from scipy import sparse
 
 from .bsplines import (
     KnotVector,
+    _basis_matrix,
     dim_maximizers,
     _unit_params,
     owned_box,
     owned_finite,
-    tensor_basis_rows,
     uniform_clamped_knots,
 )
 
@@ -157,15 +157,7 @@ def build_collocation(
 
     Each row holds the (p+1)^d locally supported basis values and sums to 1.
     """
-    weights, cols = tensor_basis_rows(knots, params)
-    return _local_rows(weights, cols, int(np.prod([kv.n for kv in knots])))
-
-
-def _local_rows(weights: np.ndarray, cols: np.ndarray, n: int) -> sparse.csr_matrix:
-    """CSR matrix whose row i holds weights[i] at the ascending columns cols[i]."""
-    m, local = weights.shape
-    indptr = np.arange(0, m * local + 1, local)
-    return sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(m, n))
+    return _basis_matrix(knots, params)
 
 
 def derivative_multi_indices(d: int, orders: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -209,8 +201,7 @@ def build_penalty_block(
         maximizers = [dim_maximizers(kv) for kv in knots]
     block = None
     for kv, order, w_axis in zip(knots, delta, maximizers):
-        rows = tensor_basis_rows((kv,), np.reshape(w_axis, (-1, 1)), (order,))
-        mat = _local_rows(*rows, kv.n)
+        mat = _basis_matrix((kv,), np.reshape(w_axis, (-1, 1)), (order,))
         block = mat if block is None else sparse.kron(block, mat, format="csr")
     return block.tocsr()
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 __all__ = [
     "KnotVector",
@@ -585,6 +586,22 @@ def tensor_basis_rows(
     return w, first_rank[:, None] + offsets
 
 
+def _basis_matrix(
+    knot_vectors: tuple[KnotVector, ...], params: np.ndarray, delta=None
+) -> sparse.csr_matrix:
+    """Sparse (m, n_tot) matrix of the tensor_basis_rows of every point.
+
+    Row i holds point i's (p+1)^d local weights at their ascending
+    lexicographic columns; the collocation matrix, each per-dimension penalty
+    factor and each grid axis of eval_model_grid are this matrix.
+    """
+    weights, cols = tensor_basis_rows(knot_vectors, params, delta)
+    m, local = weights.shape
+    indptr = np.arange(0, m * local + 1, local)
+    n_tot = math.prod(kv.n for kv in knot_vectors)
+    return sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(m, n_tot))
+
+
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
     """Evaluate at m parameter tuples, returned as (m, D_v).
 
@@ -646,19 +663,18 @@ def eval_model_grid(model: SplineModel, axes) -> np.ndarray:
     """Evaluate on a tensor grid of parameters.
 
     axes is one 1-D parameter array per dimension; the result has shape
-    (len(axes[0]), ..., len(axes[d-1]), D_v).
+    (len(axes[0]), ..., len(axes[d-1]), D_v). The control grid is contracted
+    one dimension at a time with that axis's sparse basis matrix. SciPy's
+    sparse-times-dense product sums each entry in the matrix's column order
+    and calls no BLAS, so the result is the same bit for bit on any number of
+    CPUs or BLAS threads.
     """
     if len(axes) != model.d:
         raise ValueError(f"expected {model.d} grid axes")
-    mats = []
-    for kv, ax in zip(model.knot_vectors, axes):
-        ax = np.asarray(ax, dtype=float)
-        vals, first = basis_values_many(kv, ax)
-        dense = np.zeros((ax.size, kv.n))
-        cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
-        np.put_along_axis(dense, cols, vals, axis=1)
-        mats.append(dense)
     out = model.controls.reshape(model.shape + (model.num_values,))
-    for k, mat in enumerate(mats):
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, k)), 0, k)
+    for k, (kv, ax) in enumerate(zip(model.knot_vectors, axes)):
+        mat = _basis_matrix((kv,), np.reshape(ax, (-1, 1)))
+        moved = np.moveaxis(out, k, 0)
+        product = mat @ moved.reshape(kv.n, -1)
+        out = np.moveaxis(product.reshape(mat.shape[:1] + moved.shape[1:]), 0, k)
     return out

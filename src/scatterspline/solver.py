@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
-from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
@@ -271,10 +270,10 @@ def condition_number(matrix, mode: str = "estimate") -> float:
 
     estimate mode works on the Gram matrix of the smaller side (A^T A or
     A A^T, whose eigenvalues are the squared singular values; _gram builds
-    either one, as it builds the solve's N^T N), reordered by
-    reverse Cuthill-McKee only when that narrows its band (on a tensor-product
-    fit matrix in lexicographic order it widens it). It returns math.inf when
-    the banded Cholesky factorization of the Gram matrix fails or its pivot
+    either one, as it builds the solve's N^T N), factored in the order given:
+    a tensor-product fit matrix in lexicographic order has a narrow band, and
+    any other matrix costs n x bandwidth memory. It returns math.inf when the
+    banded Cholesky factorization of the Gram matrix fails or its pivot
     ratio min diag(L)^2 / max diag(L)^2 is below 1e-12, the rule the solve
     uses to raise RankDeficientError. A sigma bound of 1e-13 would be a 1e-26
     bound on the Gram matrix, which double precision cannot resolve.
@@ -297,10 +296,6 @@ def condition_number(matrix, mode: str = "estimate") -> float:
         return _condition_from_singular_values(float(svals[0]), float(svals[-1]))
     if mode == "estimate":
         gram = _gram(matrix if cols <= rows else matrix.T)
-        order = csgraph.reverse_cuthill_mckee(gram, symmetric_mode=True)
-        permuted = gram[order][:, order]
-        if _bandwidth(permuted) < _bandwidth(gram):
-            gram = permuted
         return _condition_from_gram(gram, _band_cholesky(gram))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -309,12 +304,6 @@ def _condition_from_singular_values(smax: float, smin: float) -> float:
     if smax == 0.0 or smin <= _SINGULAR_RATIO * smax:
         return math.inf
     return smax / smin
-
-
-def _bandwidth(matrix) -> int:
-    """max |row - col| over the pattern of a sparse matrix."""
-    coo = matrix.tocoo()
-    return int(np.abs(coo.row - coo.col).max(initial=0))
 
 
 def _band_cholesky(matrix):

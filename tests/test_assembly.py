@@ -411,6 +411,32 @@ class TestAssembleSystem:
                 assert np.all(lam >= previous - 1e-15)
             previous = lam
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.sampled_from([(2, (1,)), (2, (2,)), (3, (1, 2))]),
+        st.integers(1, 150),
+        st.lists(st.floats(0.0, 30.0), min_size=2, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lambda_monotone_in_threshold_any_dimension(
+        self, seed, d, degree_orders, m, thresholds
+    ):
+        # random clouds, shapes, orders and thresholds in d = 1-3, and no slack
+        degree, orders = degree_orders
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(degree + 1, degree + 5, d))
+        cloud = PointCloud(rng.uniform(-1.0, 1.0, (m, d)), rng.normal(size=m),
+                           -np.ones(d), np.ones(d))
+        previous = None
+        for threshold in sorted(thresholds):
+            config = FitConfig(degree, shape, threshold, orders)
+            lam = assemble_system(cloud, config).lambdas
+            if previous is not None:
+                assert np.all(lam >= previous)
+            previous = lam
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_lambda_zero_characterization(self, seed):

@@ -524,6 +524,29 @@ class TestEvalKernelProperties:
             eval_model_many(model, points), grid, rtol=1e-14, atol=1e-14
         )
 
+    def test_grid_keeps_shape_for_empty_and_single_axes(self):
+        kvs = (uniform_clamped_knots(5, 2), uniform_clamped_knots(4, 2))
+        controls = np.arange(40.0).reshape(20, 2)
+        model = SplineModel(kvs, controls, np.zeros(2), np.ones(2))
+        for axes, shape in (
+            ([[], [0.5]], (0, 1, 2)),
+            ([[0.25], []], (1, 0, 2)),
+            ([[0.25], [0.0, 1.0]], (1, 2, 2)),
+        ):
+            grid = eval_model_grid(model, axes)
+            assert grid.shape == shape
+            np.testing.assert_allclose(
+                grid.reshape(-1, 2), eval_model_many(model, grid_points(axes)),
+                rtol=1e-14, atol=1e-14,
+            )
+
+    def test_grid_rejects_parameters_outside_unit_interval(self):
+        kv = uniform_clamped_knots(5, 2)
+        model = SplineModel((kv, kv), np.zeros((25, 1)), np.zeros(2), np.ones(2))
+        for axes in ([[0.5], [1.5]], [[-1e-9, 0.5], [0.5]]):
+            with pytest.raises(ValueError, match=r"parameters outside \[0, 1\]"):
+                eval_model_grid(model, axes)
+
     def test_grid_points_follow_grid_order(self):
         axes = [np.array([0.0, 0.5]), np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.25])]
         points = grid_points(axes)

@@ -1,13 +1,18 @@
 """Command-line interface: flags, exit codes, file formats."""
 
+import contextlib
+import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import scatterspline
@@ -436,6 +441,42 @@ class TestFit:
             assert len(err) == 1 and err[0].startswith("error:")
             assert "line 5" in err[0]
 
+    @given(
+        st.integers(0, 24),
+        st.sampled_from(["drop", "extra", "abc", "1.2.3", "", "nan", "NaN", "inf",
+                         "-inf", "1e999"]),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bad_data_line_is_io_error_naming_it(self, row, fault, field):
+        # one data line of a 25-row x1,x2,v1 file made ragged ("drop" or
+        # "extra" field), non-numeric or non-finite
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "d.csv"
+            spline_csv(data, grid=(5, 5))
+            lines = data.read_text().splitlines()
+            fields = lines[1 + row].split(",")
+            if fault == "drop":
+                del fields[field]
+            elif fault == "extra":
+                fields.insert(field, "0.5")
+            else:
+                fields[field] = fault
+            lines[1 + row] = ",".join(fields)
+            data.write_text("\n".join(lines) + "\n")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(
+                    [
+                        "fit", "--input", str(data), "--degree", "2",
+                        "--ctrl", "4,4", "--out", str(Path(tmp) / "m.model"),
+                    ]
+                )
+        err = stderr.getvalue().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f": line {row + 2}:" in err[0]
+
     def test_auto_solver_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         spline_csv(data)
@@ -722,7 +763,57 @@ def module_env():
     return env
 
 
+# the CLI pipeline, run in process in the directory named by argv[1]
+_PIPELINE = """
+import os, sys
+from scatterspline.cli import main
+os.chdir(sys.argv[1])
+for argv in (
+    "synth --kind polysinc --count 3000 --seed 11 --out cloud.csv",
+    "fit --input cloud.csv --degree 3 --ctrl 20,20 --threshold 10 "
+    "--out model.txt --report fit.csv",
+    "eval --model model.txt --grid 300,300 --out grid.csv",
+    "eval --model model.txt --points cloud.csv --out points.csv",
+    "report --model model.txt --reference polysinc --out report.csv",
+):
+    if main(argv.split()) != 0:
+        sys.exit(argv)
+"""
+
+
 class TestEntryPoint:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        """Every output file, and report's stdout, has the same bytes on one
+        OpenBLAS thread as on two.
+
+        Each thread count runs in its own process, since OpenBLAS reads
+        OPENBLAS_NUM_THREADS when it loads. With one CPU in the affinity
+        mask OpenBLAS does not split its sums across threads, so there the
+        test cannot fail.
+        """
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            env = module_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", _PIPELINE, str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()
+            }
+            digests.append((files, proc.stdout))
+        assert sorted(digests[0][0]) == sorted(
+            ["cloud.csv", "model.txt", "fit.csv", "grid.csv", "points.csv", "report.csv"]
+        )
+        assert digests[0] == digests[1]
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "c.csv"
         proc = subprocess.run(

@@ -383,8 +383,9 @@ class TestConditionNumber:
             assert abs(estimate - exact) <= 0.05 * exact
 
     def test_estimate_on_permuted_banded_matrix(self):
-        # the estimate reorders the Gram matrix by reverse Cuthill-McKee;
-        # a random symmetric permutation of a banded SPD matrix tests that path
+        # the estimate factors the Gram matrix in the order given; a random
+        # symmetric permutation of a banded SPD matrix has an unbanded Gram
+        # matrix, whose band factor spans the whole matrix
         rng = np.random.default_rng(115)
         n, width = 300, 4
         offsets = range(-width, width + 1)
@@ -399,8 +400,8 @@ class TestConditionNumber:
         assert abs(estimate - exact) <= 0.05 * exact
 
     def test_estimate_keeps_lexicographic_tensor_order(self, monkeypatch):
-        # reverse Cuthill-McKee widens this tensor-product Gram matrix (band
-        # 33 -> 51), so the estimate factors it in its own order
+        # the estimate factors this tensor-product Gram matrix (band 33) in
+        # its own lexicographic order
         rng = np.random.default_rng(116)
         cloud = PointCloud(rng.uniform(0, 1, (3000, 2)), rng.normal(size=3000))
         colloc = assemble_system(cloud, FitConfig(degree=3, shape=(10, 10))).collocation
