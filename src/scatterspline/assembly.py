@@ -212,8 +212,6 @@ def stack_penalty(
     """Vertical concatenation of the penalty blocks in canonical order."""
     deltas = derivative_multi_indices(config.d, config.orders)
     if not deltas:
-        if config.threshold > 0:
-            raise ValueError("threshold > 0 requires a nonempty penalty order set")
         return sparse.csr_matrix((0, config.n_tot))
     missing = [delta for delta in deltas if delta not in blocks]
     if missing:

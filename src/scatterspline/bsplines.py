@@ -23,7 +23,6 @@ __all__ = [
     "uniform_clamped_knots",
     "find_span",
     "basis_values",
-    "basis_values_many",
     "basis_derivatives",
     "basis_derivatives_many",
     "basis_value_single",
@@ -177,15 +176,6 @@ def basis_values(kv: KnotVector, u: float) -> tuple[np.ndarray, int]:
         Index of the first locally supported basis function (span - p).
     """
     ders, first = basis_derivatives(kv, u, 0)
-    return ders[0], first
-
-
-def basis_values_many(kv: KnotVector, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`basis_values` over a 1-D array of parameters.
-
-    Returns the (m, p+1) value table and the (m,) array of first indices.
-    """
-    ders, first = basis_derivatives_many(kv, u, 0)
     return ders[0], first
 
 
@@ -511,6 +501,10 @@ class SplineModel:
         """Affine map from physical coordinates (..., d) into [0, 1]^d."""
         return _unit_params(coords, self.bbox_min, self.bbox_max)
 
+    def to_coords(self, params: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_params`: parameters (..., d) to physical coordinates."""
+        return self.bbox_min + params * (self.bbox_max - self.bbox_min)
+
 
 def _unit_params(coords, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The affine map taking the box [lo, hi] onto the unit cube."""
@@ -678,3 +672,23 @@ def eval_model_grid(model: SplineModel, axes) -> np.ndarray:
         product = mat @ moved.reshape(kv.n, -1)
         out = np.moveaxis(product.reshape(mat.shape[:1] + moved.shape[1:]), 0, k)
     return out
+
+
+def _sample_box(model: SplineModel, shape, lo, hi) -> tuple[list, np.ndarray]:
+    """Evaluate the model on an equispaced tensor grid over the box [lo, hi].
+
+    shape gives the point count per dimension, each at least 2. Each axis is
+    laid out in parameter space from to_params(lo) to to_params(hi),
+    endpoints included, and mapped back with to_coords. Returns the physical
+    axes and the value array of shape (*shape, D_v).
+    """
+    shape = tuple(int(g) for g in shape)
+    if len(shape) != model.d:
+        raise ValueError(f"expected {model.d} grid counts")
+    if any(g < 2 for g in shape):
+        raise ValueError("need at least 2 grid points per dimension")
+    ends = zip(model.to_params(lo), model.to_params(hi), shape)
+    param_axes = [np.linspace(a, b, g) for a, b, g in ends]
+    # ax[:, None] broadcasts against every box dimension; column k is axis k
+    axes = [model.to_coords(ax[:, None])[:, k] for k, ax in enumerate(param_axes)]
+    return axes, eval_model_grid(model, param_axes)

@@ -2,9 +2,9 @@
 
 The file formats live in `datasets`, including the `save_model`,
 `load_model` and `ModelFileError` this module re-exports. Exit codes: 0
-success, 2 usage or invalid settings, 3 numerical failure (rank-deficient or
-non-converged fit), 4 unreadable or malformed files. Every failure prints a
-single line starting with `error:` to stderr.
+success, 2 usage or invalid settings, 3 rank-deficient fit, 4 unreadable or
+malformed files. Every failure prints a single line starting with `error:` to
+stderr.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ from .datasets import (
     write_table,
 )
 from .metrics import RegionOfInterest, lambda_field, pointwise_errors
-from .solver import (
-    NotConvergedError,
-    RankDeficientError,
-    SolveOptions,
-    solve,
-)
+from .solver import RankDeficientError, solve
 
 __all__ = ["main", "save_model", "load_model", "ModelFileError"]
 
@@ -104,8 +99,6 @@ def _build_parser():
     p.add_argument("--ctrl", type=_int_tuple, required=True, metavar="N1,N2[,N3]")
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--orders", type=_int_tuple, default=(2,), metavar="2|1,2")
-    p.add_argument("--solver", choices=("direct", "cg"), default="direct",
-                   help="banded Cholesky (default) or conjugate gradients")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="also write solve diagnostics as key,value CSV")
     p.set_defaults(func=_cmd_fit)
@@ -176,7 +169,7 @@ def _cmd_fit(args) -> int:
         orders=args.orders,
     )
     system = assemble_system(cloud, config)
-    controls, report = solve(system, SolveOptions(method=args.solver))
+    controls, report = solve(system)
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
     save_model(args.out, model, threshold=args.threshold, orders=args.orders)
     if args.report:
@@ -241,7 +234,7 @@ def _cmd_report(args) -> int:
         )
         system = assemble_system(cloud, config)
         field = lambda_field(system)
-        physical = model.bbox_min + field.maximizers * (model.bbox_max - model.bbox_min)
+        physical = model.to_coords(field.maximizers)
         header = [f"x{k + 1}" for k in range(model.d)]
         header += ["data_sum", "penalty_sum", "lambda"]
         columns = (field.data_col_sums, field.penalty_col_sums, field.lambdas)
@@ -257,9 +250,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except (RankDeficientError, NotConvergedError, OSError, ValueError) as exc:
+    except (RankDeficientError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (RankDeficientError, NotConvergedError)):
+        if isinstance(exc, RankDeficientError):
             return 3
         return 4 if isinstance(exc, (CsvParseError, ModelFileError, OSError)) else 2
 

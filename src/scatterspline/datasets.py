@@ -16,7 +16,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .assembly import PointCloud
-from .bsplines import KnotVector, SplineModel, eval_model_grid, grid_points
+from .bsplines import KnotVector, SplineModel, _sample_box, grid_points
 
 __all__ = [
     "VoidSpec",
@@ -507,18 +507,7 @@ def resample_grid(model: SplineModel, shape) -> tuple[list[np.ndarray], np.ndarr
     Returns the per-dimension physical axis arrays and the value array of
     shape (*shape, D_v).
     """
-    shape = tuple(int(g) for g in shape)
-    if len(shape) != model.d:
-        raise ValueError(f"expected {model.d} grid counts")
-    if any(g < 2 for g in shape):
-        raise ValueError("need at least 2 grid points per dimension")
-    param_axes = [np.linspace(0.0, 1.0, g) for g in shape]
-    axes = [
-        model.bbox_min[k] + ax * (model.bbox_max[k] - model.bbox_min[k])
-        for k, ax in enumerate(param_axes)
-    ]
-    values = eval_model_grid(model, param_axes)
-    return axes, values
+    return _sample_box(model, shape, model.bbox_min, model.bbox_max)
 
 
 def grid_to_cloud(axes, values) -> PointCloud:

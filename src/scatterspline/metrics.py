@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LinearSystem, PointCloud
-from .bsplines import SplineModel, eval_model_grid, eval_model_many, grid_points
+from .bsplines import SplineModel, _sample_box, eval_model_many, grid_points
 
 __all__ = [
     "RegionOfInterest",
@@ -69,10 +69,7 @@ def _grid_counts(grid_shape, d):
         return (per_dim,) * d
     if np.isscalar(grid_shape):
         return (int(grid_shape),) * d
-    shape = tuple(int(g) for g in grid_shape)
-    if len(shape) != d:
-        raise ValueError(f"expected {d} grid counts")
-    return shape
+    return grid_shape
 
 
 def _stats(diff):
@@ -111,13 +108,7 @@ def pointwise_errors(model: SplineModel, reference, roi=None, grid_shape=None):
         predicted = eval_model_many(model, model.to_params(coords))
         return _stats(predicted - reference.values[mask])
 
-    counts = _grid_counts(grid_shape, model.d)
-    if any(g < 2 for g in counts):
-        raise ValueError("need at least 2 grid points per dimension")
-    axes = [np.linspace(lo[k], hi[k], counts[k]) for k in range(model.d)]
-    # ax[:, None] broadcasts against every box dimension; column k is axis k
-    param_axes = [model.to_params(ax[:, None])[:, k] for k, ax in enumerate(axes)]
-    predicted = eval_model_grid(model, param_axes)
+    axes, predicted = _sample_box(model, _grid_counts(grid_shape, model.d), lo, hi)
     coords = grid_points(axes)
     ref_values = np.asarray(reference(coords), dtype=float).reshape(coords.shape[0], -1)
     if ref_values.shape[1] != model.num_values:

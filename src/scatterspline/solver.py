@@ -124,7 +124,8 @@ def solve(
     ------
     RankDeficientError
         If the normal matrix is singular (typically threshold 0 with control
-        points that no sample supports); the fix is a positive threshold.
+        points that no sample supports); the message advises a positive
+        threshold, or one above the current one when it is already positive.
         It is also raised when the banded Cholesky factorization fails or its
         pivot ratio min diag(L)^2 / max diag(L)^2 is below 1e-12 (numerically
         singular). The direct method always factorizes; conjugate gradients
@@ -145,10 +146,8 @@ def solve(
     # a zero diagonal entry means no equation touches that control point
     dead = np.flatnonzero(normal.diagonal() == 0.0)
     if dead.size:
-        raise RankDeficientError(
-            f"{dead.size} control point(s) have no data support and no "
-            "smoothing; set a regularization threshold > 0"
-        )
+        what = f"{dead.size} control point(s) have no data support and no smoothing"
+        raise _rank_deficient(system, what)
 
     rhs = system.rhs
     iterations = 0
@@ -156,10 +155,7 @@ def solve(
     if opts.method == "direct" or opts.estimate_condition:
         factor = _band_cholesky(normal)
         if factor is None:
-            raise RankDeficientError(
-                "normal matrix is numerically singular; "
-                "set a regularization threshold > 0"
-            )
+            raise _rank_deficient(system, "normal matrix is numerically singular")
     if opts.method == "direct":
         controls = linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
     else:
@@ -207,6 +203,15 @@ def solve(
         method=opts.method,
     )
     return controls, report
+
+
+def _rank_deficient(system: LinearSystem, what: str) -> RankDeficientError:
+    threshold = system.config.threshold
+    if threshold > 0:
+        advice = f"raise the regularization threshold above its current {threshold:g}"
+    else:
+        advice = "set a regularization threshold > 0"
+    return RankDeficientError(f"{what}; {advice}")
 
 
 def _gram(collocation) -> sparse.csr_matrix:

@@ -25,7 +25,6 @@ from scatterspline.bsplines import (
     basis_maximizer,
     basis_value_single,
     basis_values,
-    basis_values_many,
     eval_model,
     eval_model_derivative,
     eval_model_many,
@@ -48,7 +47,8 @@ def grid_argmax(kv, j, num=1_000_000):
     a = float(kv.knots[j])
     b = float(kv.knots[j + kv.degree + 1])
     u = np.linspace(a, b, num)
-    vals, first = basis_values_many(kv, u)
+    ders, first = basis_derivatives_many(kv, u, 0)
+    vals = ders[0]
     col = j - first
     y = np.zeros(num)
     mask = (col >= 0) & (col <= kv.degree)
@@ -204,7 +204,8 @@ class TestBasisValues:
                 us = np.concatenate(
                     [np.linspace(0.0, 1.0, 57), kv.knots, rng.uniform(size=20)]
                 )
-                vals, first = basis_values_many(kv, us)
+                ders, first = basis_derivatives_many(kv, us, 0)
+                vals = ders[0]
                 for order in range(p + 1):
                     ders, first_many = basis_derivatives_many(kv, us, order)
                     np.testing.assert_array_equal(first_many, first)
@@ -651,6 +652,22 @@ class TestSplineModelInput:
         lo[0] = -1.0
         assert model.controls[3, 0] != 7.0 and model.bbox_min[0] == 0.0
         assert not model.controls.flags.writeable
+
+    def test_to_coords_inverts_to_params(self):
+        # the unit cube's corners land exactly on the box corners
+        rng = np.random.default_rng(9)
+        kvs = (uniform_clamped_knots(5, 3),) * 3
+        lo = np.array([-4.0 * np.pi, 0.1, -1e-3])
+        hi = np.array([4.0 * np.pi, 0.7, 2.5e4])
+        model = SplineModel(kvs, rng.standard_normal((125, 1)), lo, hi)
+        np.testing.assert_array_equal(model.to_coords(np.zeros(3)), lo)
+        np.testing.assert_array_equal(model.to_coords(np.ones(3)), hi)
+        np.testing.assert_array_equal(model.to_params(lo), np.zeros(3))
+        np.testing.assert_array_equal(model.to_params(hi), np.ones(3))
+        u = rng.uniform(size=(50, 3))
+        coords = model.to_coords(u)
+        assert coords.shape == (50, 3)
+        np.testing.assert_allclose(model.to_params(coords), u, rtol=0, atol=1e-12)
 
 
 class TestModelDerivatives:

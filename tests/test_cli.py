@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import scatterspline
 from scatterspline import (
     FitConfig,
+    PointCloud,
     assemble_system,
     SplineModel,
     read_csv,
@@ -478,6 +479,7 @@ class TestFit:
         assert f": line {row + 2}:" in err[0]
 
     def test_auto_solver_is_usage_error(self, tmp_path, capsys):
+        # fit has no --solver option: the direct solve is the only path
         data = tmp_path / "d.csv"
         spline_csv(data)
         code = main(
@@ -487,8 +489,27 @@ class TestFit:
                 "--out", str(tmp_path / "m.model"),
             ]
         )
+        err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert "invalid choice: 'auto'" in capsys.readouterr().err
+        assert err[-1] == "error: unrecognized arguments: --solver auto"
+
+    def test_singular_fit_above_zero_threshold_says_raise_it(self, tmp_path, capsys):
+        # ten points cannot pin 36 cubic controls; a tiny threshold leaves
+        # the normal matrix singular, and the advice names the threshold
+        rng = np.random.default_rng(3)
+        data = tmp_path / "few.csv"
+        write_csv(PointCloud(rng.uniform(size=(10, 2)), rng.uniform(size=10)), data)
+        code = main(
+            [
+                "fit", "--input", str(data), "--degree", "3", "--ctrl", "6,6",
+                "--threshold", "1e-6", "--out", str(tmp_path / "m.model"),
+            ]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "raise the regularization threshold above its current 1e-06" in err[0]
+        assert "> 0" not in err[0]
 
     def test_invalid_orders_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -615,6 +636,39 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert code == 4
         assert len(err) == 1 and "line 8: threshold must be finite and >= 0" in err[0]
+
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_malformed_model_is_io_error(self, d, p, seed, data):
+        # a saved model cut short before its last control row, or with one
+        # token made non-numeric or non-finite
+        rng = np.random.default_rng(seed)
+        kvs = tuple(
+            uniform_clamped_knots(int(rng.integers(p + 1, p + 4)), p) for _ in range(d)
+        )
+        n_tot = math.prod(kv.n for kv in kvs)
+        controls = rng.standard_normal((n_tot, int(rng.integers(1, 3))))
+        model = SplineModel(kvs, controls, -rng.uniform(1, 5, d), rng.uniform(1, 5, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.model"
+            save_model(path, model, threshold=float(rng.uniform(0, 3)), orders=(1, 2))
+            lines = path.read_text().splitlines()
+            fault = data.draw(st.sampled_from(["truncate", "x", "nan", "inf", "1e999"]))
+            if fault == "truncate":
+                lines = lines[: data.draw(st.integers(0, len(lines) - 1))]
+            else:
+                row = data.draw(st.integers(0, len(lines) - 1))
+                tokens = lines[row].split()
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = fault
+                lines[row] = " ".join(tokens)
+            path.write_text("".join(line + "\n" for line in lines))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["eval", "--model", str(path), "--grid", ",".join("3" * d),
+                             "--out", str(Path(tmp) / "v.csv")])
+        err = stderr.getvalue().splitlines()
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestReport:

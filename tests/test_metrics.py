@@ -13,8 +13,10 @@ from scatterspline import (
     assemble_system,
     compute_lambdas,
     eval_model_many,
+    resample_grid,
     uniform_clamped_knots,
 )
+from scatterspline.bsplines import grid_points
 from scatterspline.metrics import (
     ErrorStats,
     RegionOfInterest,
@@ -150,6 +152,23 @@ class TestPointwiseErrorsCallable:
         model = random_model()
         stats = pointwise_errors(model, as_callable(model))
         assert stats.num_samples == 512 * 512
+
+    def test_grid_without_roi_is_resample_grid(self):
+        # without a region both lay out the same grid on the model's box
+        box = ((-4.0 * np.pi, 4.0 * np.pi), (0.1, 0.7))
+        model = random_model(seed=4, n=7, p=3, box=box)
+
+        def reference(coords):
+            return np.sin(coords[:, 0]) * np.cos(3.0 * coords[:, 1])
+
+        for shape in ((2, 2), (37, 23), (101, 64)):
+            stats = pointwise_errors(model, reference, grid_shape=shape)
+            axes, values = resample_grid(model, shape)
+            diff = values.reshape(-1) - reference(grid_points(axes))
+            flat = np.abs(diff)
+            assert stats.num_samples == flat.size
+            assert stats.max_error == float(flat.max())
+            assert stats.rms_error == float(np.sqrt(np.mean(flat**2)))
 
 
 class TestPointwiseErrorsCloud:

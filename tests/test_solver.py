@@ -1,9 +1,11 @@
 """Tests for the normal-system solvers and conditioning estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from scatterspline import bsplines, solver
@@ -169,6 +171,47 @@ class TestRankDeficiency:
         system = assemble_system(cloud, FitConfig(degree=2, shape=(8, 8)))
         with pytest.raises(RankDeficientError, match="threshold"):
             solve(system, NO_COND)
+
+    def test_advice_names_a_positive_threshold(self):
+        # ten points cannot pin 36 cubic controls; a tiny threshold does not
+        # lift the singularity, so the advice is to raise it, not to set one
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.uniform(size=(10, 2)), rng.uniform(size=10))
+        with pytest.raises(RankDeficientError, match="> 0"):
+            fit_cloud(cloud, FitConfig(degree=3, shape=(6, 6)), NO_COND)
+        config = FitConfig(degree=3, shape=(6, 6), threshold=1e-6, orders=(2,))
+        with pytest.raises(RankDeficientError) as raised:
+            fit_cloud(cloud, config, NO_COND)
+        message = str(raised.value)
+        assert message.endswith(
+            "raise the regularization threshold above its current 1e-06"
+        )
+        assert "> 0" not in message
+
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 3),
+        st.integers(0, 29),
+        st.floats(0.001, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_above_every_column_sum_solves(self, d, degree, extra, r, seed):
+        # every control is smoothed, and d + 1 points in general position pin
+        # the affine functions the second-derivative penalty leaves free
+        rng = np.random.default_rng(seed)
+        m = d + 1 + extra
+        cloud = PointCloud(rng.uniform(-1, 1, size=(m, d)), rng.standard_normal(m))
+        shape = tuple(int(n) for n in rng.integers(degree + 1, degree + 5, size=d))
+        plain = assemble_system(cloud, FitConfig(degree=degree, shape=shape))
+        threshold = (1.0 + r) * float(plain.data_col_sums.max())
+        config = FitConfig(degree, shape, threshold=threshold, orders=(2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model, report = fit_cloud(cloud, config)
+        assert np.all(np.isfinite(model.controls))
+        assert math.isfinite(report.cond_stacked)
+        assert not report.rank_deficient
 
 
 class TestNonFiniteInput:
