@@ -14,8 +14,10 @@ from scipy.interpolate import BSpline
 from scipy.optimize import brentq
 
 from scatterspline import bsplines
+from scatterspline.assembly import build_collocation
 from scatterspline.bsplines import (
     _EVAL_BLOCK,
+    _basis_matrix,
     IndexSet,
     KnotVector,
     SplineModel,
@@ -604,6 +606,28 @@ class TestParallelEvaluation:
                 got = eval_model_many(model, params[:m])
                 assert got.shape == (m, 2)
                 np.testing.assert_array_equal(got, expected[:m])
+
+    @given(
+        eval_models(),
+        st.sampled_from([0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK + 1]),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_basis_matrix_product(self, case, m, workers):
+        model, rng = case
+        kvs, controls = model.knot_vectors, model.controls
+        params = knot_heavy_params(model, rng, m)
+        u = knot_heavy_params(model, rng, 1)[0]
+        delta = tuple(int(o) for o in rng.integers(0, model.degree + 1, model.d))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bsplines, "_worker_count", lambda: workers)
+            np.testing.assert_array_equal(
+                eval_model_many(model, params), build_collocation(params, kvs) @ controls
+            )
+            np.testing.assert_array_equal(
+                eval_model_derivative(model, u, delta),
+                (_basis_matrix(kvs, u[None], delta) @ controls)[0],
+            )
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_bad_parameter_in_last_block_raises(self, workers, monkeypatch):

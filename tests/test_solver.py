@@ -34,6 +34,27 @@ from scatterspline.solver import (
 NO_COND = SolveOptions(estimate_condition=False)
 
 
+@st.composite
+def smoothed_everywhere_fits(draw):
+    """A cloud of d + 1 to d + 30 points in d = 1-3 and a degree 2-3 config
+    whose threshold lies above every data column sum, with orders (2,).
+
+    Every control is smoothed, and d + 1 points in general position pin the
+    affine functions the second-derivative penalty leaves free, so the
+    normal matrix is nonsingular.
+    """
+    d = draw(st.integers(1, 3))
+    degree = draw(st.integers(2, 3))
+    m = d + 1 + draw(st.integers(0, 29))
+    r = draw(st.floats(0.001, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = PointCloud(rng.uniform(-1, 1, size=(m, d)), rng.standard_normal(m))
+    shape = tuple(int(n) for n in rng.integers(degree + 1, degree + 5, size=d))
+    plain = assemble_system(cloud, FitConfig(degree=degree, shape=shape))
+    threshold = (1.0 + r) * float(plain.data_col_sums.max())
+    return cloud, FitConfig(degree, shape, threshold=threshold, orders=(2,))
+
+
 def spline_sampled_cloud(rng, shape, degree, grid, box=((0.0, 1.0), (0.0, 1.0))):
     """Evaluate a random model on a dense grid; fitting must recover it."""
     kvs = tuple(uniform_clamped_knots(nk, degree) for nk in shape)
@@ -188,24 +209,10 @@ class TestRankDeficiency:
         )
         assert "> 0" not in message
 
-    @given(
-        st.integers(1, 3),
-        st.integers(2, 3),
-        st.integers(0, 29),
-        st.floats(0.001, 2.0),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(smoothed_everywhere_fits())
     @settings(max_examples=40, deadline=None)
-    def test_threshold_above_every_column_sum_solves(self, d, degree, extra, r, seed):
-        # every control is smoothed, and d + 1 points in general position pin
-        # the affine functions the second-derivative penalty leaves free
-        rng = np.random.default_rng(seed)
-        m = d + 1 + extra
-        cloud = PointCloud(rng.uniform(-1, 1, size=(m, d)), rng.standard_normal(m))
-        shape = tuple(int(n) for n in rng.integers(degree + 1, degree + 5, size=d))
-        plain = assemble_system(cloud, FitConfig(degree=degree, shape=shape))
-        threshold = (1.0 + r) * float(plain.data_col_sums.max())
-        config = FitConfig(degree, shape, threshold=threshold, orders=(2,))
+    def test_threshold_above_every_column_sum_solves(self, case):
+        cloud, config = case
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             model, report = fit_cloud(cloud, config)
@@ -240,6 +247,18 @@ class TestMethods:
         assert rep_c.iterations > 0
         scale = np.abs(direct).max()
         np.testing.assert_allclose(via_cg, direct, atol=1e-8 * scale)
+
+    @given(smoothed_everywhere_fits())
+    @settings(max_examples=40, deadline=None)
+    def test_direct_and_cg_agree_within_condition_bound(self, case):
+        # CG stops at a relative residual of _CG_RTOL on the normal matrix,
+        # whose condition is cond_stacked squared; that bounds the error
+        cloud, config = case
+        system = assemble_system(cloud, config)
+        direct, rep_d = solve(system)
+        via_cg, _ = solve(system, SolveOptions(method="cg", estimate_condition=False))
+        bound = rep_d.cond_stacked**2 * solver._CG_RTOL * np.linalg.norm(direct)
+        assert np.linalg.norm(via_cg - direct) <= bound
 
     def test_cg_iteration_cap(self):
         rng = np.random.default_rng(108)
