@@ -3,8 +3,12 @@
 The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly.
 N^T N is built in row panels, one per CPU the process may run on, computed
 at the same time: rows lo..hi are N[:, lo:hi]^T N. Each entry is summed in
-ascending point order, as in SciPy's own N.T @ N, so the matrix is the same
-bit for bit whatever the number of CPUs. A is symmetric and, in
+ascending point order by SciPy's own product kernel, as in N.T @ N, so the
+matrix is the same bit for bit whatever the number of CPUs. The kernel
+writes into buffers sized from the band of N, in one pass: SciPy's product
+makes a second pass first, only to count the entries. The buffers of all
+calls in flight hold about nnz(N) entries together, however wide the band
+(see _gram). A is symmetric and, in
 lexicographic control order, banded with bandwidth p*(n_2*...*n_d) + ... + p,
 so one banded Cholesky factorization (LAPACK pbtrf through
 scipy.linalg.cholesky_banded) serves the direct solve of every value
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
@@ -97,7 +102,10 @@ class FitReport:
     component; data_residual_norms the collocation part alone. Condition
     numbers are estimates of the stacked matrix (N over M Lambda) and of the
     collocation matrix by itself; math.inf marks numerically rank-deficient
-    matrices.
+    matrices. rank_deficient is True when cond_stacked is math.inf and False
+    when a banded Cholesky factor of the normal matrix passed its pivot check;
+    it is None (not checked) after conjugate gradients without a condition
+    estimate, the one path that factors nothing.
     """
 
     residual_norms: np.ndarray
@@ -105,7 +113,7 @@ class FitReport:
     iterations: int
     cond_stacked: float
     cond_data: float
-    rank_deficient: bool
+    rank_deficient: bool | None
     method: str
 
 
@@ -199,7 +207,7 @@ def solve(
         iterations=iterations,
         cond_stacked=cond_stacked,
         cond_data=cond_data,
-        rank_deficient=bool(math.isinf(cond_stacked)),
+        rank_deficient=None if factor is None else math.isinf(cond_stacked),
         method=opts.method,
     )
     return controls, report
@@ -218,30 +226,90 @@ def _gram(collocation) -> sparse.csr_matrix:
     """N^T N in CSR with sorted indices, one row panel per CPU at once.
 
     Rows lo..hi of the product are N[:, lo:hi]^T N. Each panel's transpose
-    is read from one CSC copy of N, so every entry is the same sum, in
-    ascending point order, as in (N.T @ N).tocsr(), bit for bit.
+    is read from one CSC copy of N and multiplied by SciPy's own kernel
+    (csr_matmat, which releases the interpreter lock), so every entry is the
+    same sum, in ascending point order, as in (N.T @ N).tocsr(), bit for bit,
+    and zero sums are dropped as there.
+
+    SciPy's product first counts the output entries in a separate pass over
+    the same triples (csr_matmat_maxnnz); here two bounds size the buffers
+    instead. Row i of the product gets one entry per distinct column j that
+    shares a stored row of N with column i. So it gets at most 2 bw + 1,
+    since |i - j| <= bw, the widest column span (max stored column - min
+    stored column) of any row of N. And it gets no more than the products
+    summed into it: the rows of N that store column i times their length, at
+    most the longest row (all rows of a collocation matrix store (p + 1)^d
+    entries). The band bound rules where points are dense, the product
+    bound where they are few. Each panel calls the kernel on as many rows at
+    a time as fit in its share of nnz(N) slots (at least one row) and keeps
+    only the entries written, so the buffers in use at once hold about as
+    many entries as N itself, however wide the band.
     """
     m, n = collocation.shape
+    by_row = collocation.tocsr()
     by_column = collocation.tocsc()
+    nnz = int(by_row.indptr[-1])
+    row_sizes = np.diff(by_row.indptr)
+    row_starts = by_row.indptr[:-1][row_sizes > 0]
+    bandwidth = 0
+    if row_starts.size:  # reduceat over the stored rows only: empty ones have no span
+        stored = by_row.indices[:nnz]
+        spans = np.maximum.reduceat(stored, row_starts) - np.minimum.reduceat(
+            stored, row_starts
+        )
+        bandwidth = int(spans.max())
+    longest = int(row_sizes.max(initial=0))
+    products = np.diff(by_column.indptr).astype(np.int64) * longest
+    slots = np.minimum(products, min(n, 2 * bandwidth + 1))  # per row of the product
+    ends = np.concatenate(([0], np.cumsum(slots)))  # row i: ends[i]..ends[i + 1]
     bounds = np.linspace(0, n, min(_worker_count(), n) + 1).astype(int)
+    share = nnz // max(bounds.size - 1, 1)
+    capacity = max(share, int(slots.max(initial=0)))
+    # the kernel takes every index array in one dtype
+    index = np.int64 if max(m, n, nnz, capacity) > np.iinfo(np.int32).max else np.int32
+    row_ptr, row_idx, col_ptr, col_idx = (
+        a.astype(index, copy=False)
+        for a in (by_row.indptr, by_row.indices, by_column.indptr, by_column.indices)
+    )
+    dtype = by_row.data.dtype
 
-    def panel(span):
-        lo, hi = span
-        start, stop = by_column.indptr[lo], by_column.indptr[hi]
-        # N[:, lo:hi]^T as CSR on views of the CSC arrays, set after
-        # construction: the constructor copies a slice shorter than half its
-        # base
-        rows = sparse.csr_matrix((hi - lo, m))
-        rows.indptr = by_column.indptr[lo : hi + 1] - start
-        rows.indices = by_column.indices[start:stop]
-        rows.data = by_column.data[start:stop]
-        product = rows @ collocation
+    def rows(lo, hi):
+        start, stop = col_ptr[lo], col_ptr[hi]
+        indptr = np.empty(hi - lo + 1, dtype=index)
+        indices = np.empty(ends[hi] - ends[lo], dtype=index)
+        data = np.empty(ends[hi] - ends[lo], dtype=dtype)
+        # N[:, lo:hi]^T as CSR on views of the CSC arrays, times N
+        _sparsetools.csr_matmat(
+            hi - lo, n,
+            col_ptr[lo : hi + 1] - start,
+            col_idx[start:stop],
+            by_column.data[start:stop],
+            row_ptr, row_idx, by_row.data,
+            indptr, indices, data,
+        )
+        # trimmed in place to the entries written: realloc releases the rest
+        # without copying, and no view of the buffers is left to forbid it
+        indices.resize(indptr[-1], refcheck=False)
+        data.resize(indptr[-1], refcheck=False)
+        product = sparse.csr_matrix((data, indices, indptr), shape=(hi - lo, n))
         product.sort_indices()
         return product
 
+    def panel(span):
+        lo, hi = span
+        blocks = []
+        while lo < hi:
+            # as many rows as fit in the share, and at least one
+            stop = int(np.searchsorted(ends, ends[lo] + share, side="right")) - 1
+            stop = min(max(stop, lo + 1), hi)
+            blocks.append(rows(lo, stop))
+            lo = stop
+        return blocks
+
     panels = _map_parallel(panel, zip(bounds[:-1], bounds[1:]))
-    del by_column  # before stacking, so the peak stays at one copy of N
-    return sparse.vstack(panels, format="csr")
+    # before stacking, so the peak stays at one copy of N
+    del by_column, col_ptr, col_idx
+    return sparse.vstack([block for blocks in panels for block in blocks], format="csr")
 
 
 def _cg(matrix, b, maxiter):

@@ -172,7 +172,8 @@ class TestRankDeficiency:
             result = solve(system, NO_COND)
         assert result is None
 
-    def test_singular_without_dead_columns_raises_on_cg_path(self):
+    @staticmethod
+    def two_line_system():
         # samples on two horizontal lines: every basis function in y is
         # nonzero on one of them, yet the y-direction has rank 2 of 5
         rng = np.random.default_rng(114)
@@ -183,8 +184,26 @@ class TestRankDeficiency:
         )
         system = assemble_system(cloud, FitConfig(degree=2, shape=(5, 5)))
         assert np.all(system.collocation.sum(axis=0) > 0)
+        return system
+
+    def test_singular_without_dead_columns_raises_on_cg_path(self):
         with pytest.raises(RankDeficientError, match="threshold"):
-            solve(system, SolveOptions(method="cg"))
+            solve(self.two_line_system(), SolveOptions(method="cg"))
+
+    def test_unchecked_cg_solve_reports_rank_not_checked(self):
+        # conjugate gradients without a condition estimate factors nothing,
+        # so its report may not claim the singular system full rank
+        system = self.two_line_system()
+        unchecked = SolveOptions(method="cg", estimate_condition=False)
+        _, report = solve(system, unchecked)
+        assert report.rank_deficient is None
+        # the direct path's factor vouches for a nonsingular system
+        rng = np.random.default_rng(115)
+        _, cloud = spline_sampled_cloud(rng, (5, 5), 2, (15, 15))
+        system = assemble_system(cloud, FitConfig(degree=2, shape=(5, 5)))
+        assert solve(system, NO_COND)[1].rank_deficient is False
+        assert solve(system)[1].rank_deficient is False
+        assert solve(system, unchecked)[1].rank_deficient is None
 
     def test_error_message_mentions_threshold(self):
         rng = np.random.default_rng(106)
@@ -358,9 +377,96 @@ class TestBandCholesky:
         assert _band_cholesky(sparse.diags([1.0, 1e-11, 1.0]).tocsr()) is not None
 
 
+def unsorted_csr(rng, rows, cols, density, integers=False):
+    """A random CSR matrix whose rows store their columns in random order.
+
+    Zero values are stored as explicit entries. Integer values (-2..2) make
+    some entries of its Gram matrix cancel to an exact zero sum.
+    """
+    if integers:
+        values = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+    else:
+        values = rng.standard_normal((rows, cols))
+        values[rng.random((rows, cols)) < 0.2] = 0.0
+    mask = rng.random((rows, cols)) < density
+    stored = [rng.permutation(np.flatnonzero(row)) for row in mask]
+    indptr = np.concatenate([[0], np.cumsum([row.size for row in stored])])
+    indices = np.concatenate(stored)
+    data = values[np.repeat(np.arange(rows), np.diff(indptr)), indices]
+    return sparse.csr_matrix((data, indices, indptr), shape=(rows, cols))
+
+
+def sorted_product(left, right):
+    """SciPy's own left @ right in CSR with sorted indices."""
+    product = (left @ right).tocsr()
+    product.sort_indices()  # SciPy leaves some products unsorted
+    return product
+
+
+def assert_gram_matches(matrix, expected, workers):
+    """solver._gram(matrix) on `workers` panels equals `expected` bit for bit,
+    and every kernel call's buffers hold at least the entry count that
+    SciPy's own counting pass (csr_matmat_maxnnz) finds for its rows.
+
+    Returns (rows, buffer slots) of each kernel call."""
+    kernel = solver._sparsetools
+    calls = []
+
+    class Counting:
+        @staticmethod
+        def csr_matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx):
+            needed = kernel.csr_matmat_maxnnz(n_row, n_col, ap, aj, bp, bj)
+            calls.append((n_row, cj.size))
+            # checked before the kernel runs: it writes past a short buffer
+            assert cj.size == cx.size >= needed
+            kernel.csr_matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (bsplines, solver):
+            patch.setattr(module, "_worker_count", lambda: workers)
+        patch.setattr(solver, "_sparsetools", Counting)
+        gram = solver._gram(matrix)
+    assert len(calls) >= min(workers, expected.shape[0])
+    assert sum(rows for rows, _ in calls) == expected.shape[0]
+    assert gram.shape == expected.shape
+    assert gram.has_sorted_indices
+    np.testing.assert_array_equal(gram.indptr, expected.indptr)
+    np.testing.assert_array_equal(gram.indices, expected.indices)
+    np.testing.assert_array_equal(gram.data, expected.data)
+    return calls
+
+
+def banded_csr(rng, rows, cols, span, outlier):
+    """Each row stores up to three random columns within `span` of each
+    other, but row 0 stores columns 0 and `outlier`, which sets the band."""
+    first = rng.integers(0, cols - span, size=rows)
+    columns = [np.unique(f + rng.integers(0, span, size=3)) for f in first]
+    columns[0] = np.array([0, outlier])
+    indptr = np.concatenate([[0], np.cumsum([c.size for c in columns])])
+    data = rng.standard_normal(indptr[-1])
+    return sparse.csr_matrix(
+        (data, np.concatenate(columns), indptr), shape=(rows, cols)
+    )
+
+
+@st.composite
+def gram_inputs(draw):
+    """A random sparse matrix or its transpose (CSC), with explicit zeros,
+    unsorted indices and empty rows and columns at low density."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = unsorted_csr(
+        rng,
+        draw(st.integers(1, 30)),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0])),
+        integers=draw(st.booleans()),
+    )
+    return matrix.T if draw(st.booleans()) else matrix
+
+
 class TestGramPanels:
     @pytest.mark.parametrize("shape", [(7,), (5, 7), (5, 4, 6)])
-    def test_equals_scipy_product_for_any_cpu_count(self, shape, monkeypatch):
+    def test_equals_scipy_product_for_any_cpu_count(self, shape):
         # n_tot 7, 35 and 120 split into panels of unequal width
         rng = np.random.default_rng(sum(shape))
         knots = tuple(uniform_clamped_knots(nk, 3) for nk in shape)
@@ -370,21 +476,52 @@ class TestGramPanels:
             len(shape) + 6, 90, density=0.3, random_state=7, format="csr",
             data_rvs=rng.standard_normal,
         )
-        wide_product = (wide @ wide.T).tocsr()
-        wide_product.sort_indices()  # SciPy leaves this product unsorted
-        cases = (
-            (collocation, (collocation.T @ collocation).tocsr()),
-            (wide.T, wide_product),
+        cancelling = unsorted_csr(rng, 60, 9, 0.4, integers=True)
+        assert not cancelling.has_sorted_indices
+        holes = unsorted_csr(rng, 40, 10, 0.3)
+        holes = sparse.diags((np.arange(40) % 3 > 0).astype(float)) @ holes
+        holes = (holes @ sparse.diags((np.arange(10) % 4 > 0).astype(float))).tocsr()
+        assert np.diff(holes.indptr)[::3].max() == 0
+        assert np.bincount(holes.indices, minlength=10)[::4].max() == 0
+        zeros = sparse.csr_matrix(
+            (np.zeros(5), [0, 2, 2, 1, 3], [0, 2, 3, 5]), shape=(3, 4)
         )
+        inputs = (
+            collocation,
+            cancelling,  # explicit zeros, unsorted indices, zero sums dropped
+            holes,  # empty rows and columns
+            unsorted_csr(rng, 30, 1, 0.5),  # a single column
+            sparse.csr_matrix((20, 6)),  # no stored entry
+            zeros,  # only explicit zeros
+        )
+        cases = [(matrix, sorted_product(matrix.T, matrix)) for matrix in inputs]
+        cases.append((wide.T, sorted_product(wide, wide.T)))
         for matrix, expected in cases:
             for workers in (1, 2, 3, 4):
-                for module in (bsplines, solver):
-                    monkeypatch.setattr(module, "_worker_count", lambda: workers)
-                gram = solver._gram(matrix)
-                assert gram.shape == expected.shape
-                np.testing.assert_array_equal(gram.indptr, expected.indptr)
-                np.testing.assert_array_equal(gram.indices, expected.indices)
-                np.testing.assert_array_equal(gram.data, expected.data)
+                assert_gram_matches(matrix, expected, workers)
+
+    @given(gram_inputs(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_matrices_equal_scipy_product(self, matrix, workers):
+        assert_gram_matches(matrix, sorted_product(matrix.T, matrix), workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_kernel_buffers_stay_within_budget(self, workers):
+        # 40 points, but one stores columns 0 and 2999: buffers sized from
+        # the band alone would take 3000 slots for each of 3000 rows, where
+        # the product sums at most nnz(N) * (longest row) products, and the
+        # kernel is called more than once per panel to keep within the share
+        rng = np.random.default_rng(workers)
+        few = banded_csr(rng, 40, 3000, 5, 2999)
+        # 20,000 points on 400 columns with bandwidth 60: every row of the
+        # product sums ~450 products but holds at most 121 entries
+        many = banded_csr(rng, 20_000, 400, 10, 60)
+        for matrix, total in ((few, few.nnz * 3), (many, 400 * 121)):
+            calls = assert_gram_matches(matrix, sorted_product(matrix.T, matrix), workers)
+            assert sum(slots for _, slots in calls) <= total
+            assert matrix is many or len(calls) > workers
+            # each call of more than one row fits in its panel's share of nnz(N)
+            assert all(slots <= matrix.nnz // workers for rows, slots in calls if rows > 1)
 
 
 class TestResiduals:
