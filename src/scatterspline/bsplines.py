@@ -68,6 +68,11 @@ def _map_parallel(func, items) -> list:
         return list(pool.map(func, items))
 
 
+def _index_dtype(*sizes) -> type:
+    """int32 for sparse indices unless one of sizes passes its maximum."""
+    return np.int64 if max(sizes, default=0) > np.iinfo(np.int32).max else np.int32
+
+
 def owned_finite(x, name: str) -> np.ndarray:
     """x as a C-contiguous float64 array that shares no memory with x.
 
@@ -256,6 +261,28 @@ def basis_derivatives(kv: KnotVector, u: float, order: int) -> tuple[np.ndarray,
     return ders, span - p
 
 
+def _spans(kv: KnotVector, u: np.ndarray) -> np.ndarray:
+    """:func:`find_span` at every parameter of u, which lies in [0, 1].
+
+    The span is p plus the number of interior knots t[p+1..n-1] at or below
+    u. A table over B equal buckets of [0, 1] gives, for bucket
+    b = floor(u*B), that count at (b-1)/B: a lower bound that the rounding
+    of u*B cannot break. Whole-array steps count on from there up to u, one
+    or two for uniform knots with B = 2(n-p); searchsorted's binary search
+    per parameter took four times as long.
+    """
+    inner = kv.knots[kv.degree + 1 : kv.n]
+    buckets = 2 * inner.size + 2
+    starts = (np.arange(buckets + 1) - 1.0) / buckets
+    count = np.searchsorted(inner, starts, side="right")[(u * buckets).astype(np.intp)]
+    bounded = np.append(inner, np.inf)
+    while True:
+        step = bounded[count] <= u
+        if not step.any():
+            return count + kv.degree
+        count += step
+
+
 def basis_derivatives_many(
     kv: KnotVector, u: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -272,9 +299,15 @@ def basis_derivatives_many(
     Notes
     -----
     The same arithmetic as :func:`basis_derivatives` (algorithms A2.2 and
-    A2.3 of The NURBS Book), run on whole columns of parameters at once.
-    Derivative order k reads the value table of degree p - k and the knot
-    differences of the step after it; only those tables are kept.
+    A2.3 of The NURBS Book), run on row tables: row r of a (j+1, m) table
+    holds the r-th local basis function at every parameter. Each degree j
+    of the triangle is six whole-table operations (the knot differences,
+    temp, the right products, the saved terms, their sum and the last row),
+    written into buffers allocated once per call; the only reorder from the
+    scalar code is saved + right*temp to right*temp + saved, which rounds
+    the same. Derivative order k reads the value table of degree p - k and
+    the knot differences of the step after it; those are kept only when
+    order > 0. The result is a transposed view of (order+1, p+1, m) tables.
     """
     u = np.ascontiguousarray(u, dtype=float)
     if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
@@ -283,32 +316,38 @@ def basis_derivatives_many(
     if not 0 <= order <= p:
         raise ValueError(f"derivative order {order} outside [0, {p}]")
     t = kv.knots
-    spans = np.clip(np.searchsorted(t, u, side="right") - 1, p, kv.n - 1)
+    m = u.size
+    spans = _spans(kv, u)
 
-    # values holds one array per local index at the current degree j;
-    # tables[j] and dens[j] keep degree j's values and the knot differences
-    # its step divided by, for the degrees the derivatives read
-    values = [np.ones(u.size)]
-    tables, dens = {0: values}, {}
-    left = [None] + [u - t[spans + 1 - j] for j in range(1, p + 1)]
-    right = [None] + [t[spans + j] - u for j in range(1, p + 1)]
+    # knots t[span-p+1]..t[span+p] of every parameter, one row each, made in
+    # place into left[p-j] = u - t[span+1-j] and right[j-1] = t[span+j] - u
+    # for j = 1..p; degree j's step reads rows left[p-j:] and right[:j]
+    window = t[spans + np.arange(1 - p, p + 1)[:, None]]
+    left, right = window[:p], window[p:]
+    np.subtract(u, left, out=left)
+    np.subtract(right, u, out=right)
+
+    ders = np.empty((order + 1, p + 1, m))
+    values = ders[0]  # rows 0..j hold degree j's values
+    values[0] = 1.0
+    den_rows, temp_rows = np.empty((p - order, m)), np.empty((p, m))
+    # tables[j - 1] and dens[j]: the values step j starts from and the knot
+    # differences it divides by, kept for the steps the derivatives read
+    tables, dens = {}, {}
     for j in range(1, p + 1):
-        saved = 0.0
-        new, den_j = [], []
-        for r in range(j):
-            den_j.append(right[r + 1] + left[j - r])
-            temp = values[r] / den_j[r]
-            new.append(saved + right[r + 1] * temp)
-            saved = left[j - r] * temp
-        new.append(saved)
-        values = new
-        if j >= p - order:
-            tables[j] = values
-            dens[j] = den_j
+        if j > p - order:
+            tables[j - 1] = values[:j].copy()
+            den_j = dens[j] = np.empty((j, m))
+        else:
+            den_j = den_rows[:j]
+        np.add(right[:j], left[p - j:], out=den_j)
+        temp_j = np.divide(values[:j], den_j, out=temp_rows[:j])
+        np.multiply(right[:j], temp_j, out=values[:j])
+        saved = np.multiply(left[p - j:], temp_j, out=temp_j)
+        np.add(values[1:j], saved[: j - 1], out=values[1:j])
+        values[j] = saved[j - 1]
 
-    ders = np.empty((order + 1, u.size, p + 1))
     for r in range(p + 1):
-        ders[0, :, r] = values[r]
         a_prev = [1.0]
         for k in range(1, order + 1):
             rk = r - k
@@ -327,14 +366,15 @@ def basis_derivatives_many(
             if r <= pk:
                 a[k] = -a_prev[k - 1] / den[r]
                 der += a[k] * ndu[r]
-            ders[k, :, r] = der
+            ders[k, r] = der
             a_prev = a
 
     factor = float(p)
     for k in range(1, order + 1):
         ders[k] *= factor
         factor *= p - k
-    return ders, spans - p
+    spans -= p
+    return ders.transpose(0, 2, 1), spans
 
 
 def basis_value_single(kv: KnotVector, j: int, u: float) -> float:
@@ -541,7 +581,8 @@ def tensor_basis_rows(
         Nonzero tensor-product basis values per point, last dimension
         varying fastest.
     cols : ndarray, shape (m, (p+1)^d)
-        Lexicographic ranks of the basis functions the weights belong to.
+        Lexicographic ranks of the basis functions the weights belong to,
+        int32 unless a rank passes int32's range.
     """
     params = np.asarray(params, dtype=float)
     d = len(knot_vectors)
@@ -550,28 +591,28 @@ def tensor_basis_rows(
     delta = (0,) * d if delta is None else tuple(int(o) for o in delta)
     if len(delta) != d:
         raise ValueError(f"expected a {d}-component derivative order")
-    # weights multiply in one dimension at a time, last dimension fastest
-    w, firsts = None, []
+    m = params.shape[0]
+    shape = [kv.n for kv in knot_vectors]
+    index = _index_dtype(math.prod(shape))
+    # one (p+1, m) row table per dimension; flat rank = sum_k (first_k +
+    # offset_k) * stride_k, row-major strides
+    tables, first_rank, offsets = [], 0, np.zeros(1, dtype=index)
     for k, (kv, order) in enumerate(zip(knot_vectors, delta)):
         ders, first = basis_derivatives_many(kv, params[:, k], order)
-        vals = ders[order]
-        if w is not None:
-            # an explicit width, since -1 cannot be resolved when m is 0
-            width = w.shape[1] * vals.shape[1]
-            vals = np.einsum("mi,mj->mij", w, vals).reshape(len(vals), width)
-        w = vals
-        firsts.append(first)
-    # freed before the (m, (p+1)^d) ranks are allocated: held, the last
-    # dimension's table raised a 100k-point 2-D fit's peak RSS by 7 MB
-    del ders
-    shape = [kv.n for kv in knot_vectors]
-    # flat rank = sum_k (first_k + offset_k) * stride_k, row-major strides
-    first_rank, offsets = 0, np.zeros(1, dtype=np.intp)
-    for k, (kv, first) in enumerate(zip(knot_vectors, firsts)):
+        tables.append(ders[order].T)
         stride = math.prod(shape[k + 1:])
-        first_rank = first_rank + first * stride
-        offsets = (offsets[:, None] + stride * np.arange(kv.degree + 1)).ravel()
-    return w, first_rank[:, None] + offsets
+        first_rank = first_rank + first.astype(index) * stride
+        offsets = (offsets[:, None] + stride * np.arange(kv.degree + 1, dtype=index)).ravel()
+    # weights multiply in one dimension at a time, last dimension fastest
+    w = tables[0].T
+    for table in tables[1:]:
+        # an explicit width, since -1 cannot be resolved when m is 0
+        width = w.shape[1] * table.shape[0]
+        w = np.einsum("mi,jm->mij", w, table, order="C").reshape(m, width)
+    cols = np.empty((m, offsets.size), dtype=index)
+    np.add(first_rank[:, None], offsets, out=cols)
+    # C order (a copy only for d = 1), so _basis_matrix's ravel is a view
+    return np.ascontiguousarray(w), cols
 
 
 def _basis_matrix(
@@ -582,12 +623,31 @@ def _basis_matrix(
     Row i holds point i's (p+1)^d local weights at their ascending
     lexicographic columns; the collocation matrix, each per-dimension penalty
     factor and each grid axis of eval_model_grid are this matrix.
+
+    Up to _EVAL_BLOCK rows, the weights and ranks become the CSR's data and
+    indices uncopied. More rows are built a block at a time, each block's
+    rows written into the preallocated data and indices, so one block's
+    tables are held at once. The index arrays are built in the dtype SciPy
+    would pick, so it neither scans nor copies them.
     """
-    weights, cols = tensor_basis_rows(knot_vectors, params, delta)
-    m, local = weights.shape
-    indptr = np.arange(0, m * local + 1, local)
+    m = len(params)
+    local = math.prod(kv.degree + 1 for kv in knot_vectors)
     n_tot = math.prod(kv.n for kv in knot_vectors)
-    return sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(m, n_tot))
+    index = _index_dtype(n_tot, m * local)
+    if m <= _EVAL_BLOCK:
+        weights, cols = tensor_basis_rows(knot_vectors, params, delta)
+        data, indices = weights.ravel(), cols.ravel()
+    else:
+        data, indices = np.empty(m * local), np.empty(m * local, dtype=index)
+        for start in range(0, m, _EVAL_BLOCK):
+            weights, cols = tensor_basis_rows(
+                knot_vectors, params[start : start + _EVAL_BLOCK], delta
+            )
+            block = slice(start * local, start * local + weights.size)
+            data[block] = weights.ravel()
+            indices[block] = cols.ravel()
+    indptr = np.arange(0, m * local + 1, local, dtype=index)
+    return sparse.csr_matrix((data, indices, indptr), shape=(m, n_tot))
 
 
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
-from .bsplines import SplineModel, _map_parallel, _worker_count
+from .bsplines import SplineModel, _index_dtype, _map_parallel, _worker_count
 
 __all__ = [
     "SolveOptions",
@@ -266,7 +266,7 @@ def _gram(collocation) -> sparse.csr_matrix:
     share = nnz // max(bounds.size - 1, 1)
     capacity = max(share, int(slots.max(initial=0)))
     # the kernel takes every index array in one dtype
-    index = np.int64 if max(m, n, nnz, capacity) > np.iinfo(np.int32).max else np.int32
+    index = _index_dtype(m, n, nnz, capacity)
     row_ptr, row_idx, col_ptr, col_idx = (
         a.astype(index, copy=False)
         for a in (by_row.indptr, by_row.indices, by_column.indptr, by_column.indices)

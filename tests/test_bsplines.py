@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import BSpline
 from scipy.optimize import brentq
 
@@ -77,6 +77,22 @@ def fd_next_row(kv, u, row, h=1e-5):
     hi, first_hi = basis_derivatives(kv, u + h, row)
     assert first_lo == first_hi, "stencil must not straddle a knot"
     return (hi[row] - lo[row]) / (2.0 * h), first_lo
+
+
+@st.composite
+def clamped_knot_vectors(draw):
+    """Degree 1-5: uniform, nonuniform, or with interior knots repeated up to
+    p times."""
+    p = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["uniform", "nonuniform", "repeated"]))
+    if kind == "uniform":
+        return uniform_clamped_knots(draw(st.integers(p + 1, p + 8)), p)
+    sites = draw(st.lists(st.integers(1, 999), min_size=1, max_size=6, unique=True))
+    top = p if kind == "repeated" else 1
+    interior = [
+        site / 1000.0 for site in sites for _ in range(draw(st.integers(1, top)))
+    ]
+    return KnotVector(p, [0.0] * (p + 1) + sorted(interior) + [1.0] * (p + 1))
 
 
 def interior_params(kv, rng, count, margin=1e-3):
@@ -158,6 +174,19 @@ class TestFindSpan:
         with pytest.raises(ValueError):
             find_span(kv, 1.1)
 
+    def test_array_spans_match_scalar_next_to_every_knot(self):
+        # just below a knot, u * buckets can round up onto a bucket edge; the
+        # array kernel's span table must still count that knot out
+        for p in range(1, 5):
+            for n in range(p + 1, 60):
+                kv = uniform_clamped_knots(n, p)
+                below = np.nextafter(kv.knots, -1.0)
+                u = np.concatenate(
+                    [kv.knots, below, np.nextafter(below, -1.0), np.nextafter(kv.knots, 2.0)]
+                ).clip(0.0, 1.0)
+                _, first = basis_derivatives_many(kv, u, 0)
+                np.testing.assert_array_equal(first + p, [find_span(kv, x) for x in u])
+
     @given(st.integers(1, 5), st.integers(0, 8), st.floats(0.0, 1.0))
     def test_span_brackets_parameter(self, p, extra, u):
         kv = uniform_clamped_knots(p + 1 + extra, p)
@@ -217,6 +246,23 @@ class TestBasisValues:
                         np.testing.assert_array_equal(ders[:, i], ref)
                 for i, u in enumerate(us):
                     np.testing.assert_array_equal(vals[i], basis_values(kv, u)[0])
+
+    @given(clamped_knot_vectors(), st.lists(st.floats(0.0, 1.0), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_many_matches_scalar_on_random_knots(self, kv, drawn):
+        # the row tables hold the scalar recursion's numbers bit for bit, at
+        # every derivative order, at every knot, next to it, and at 0 and 1
+        beside = np.clip(np.nextafter(kv.knots, [[-1.0], [2.0]]), 0.0, 1.0).ravel()
+        us = np.concatenate([drawn, kv.knots, beside, [0.0, 1.0]])
+        for order in range(kv.degree + 1):
+            ders, first = basis_derivatives_many(kv, us, order)
+            assert ders.shape == (order + 1, us.size, kv.degree + 1)
+            for i, u in enumerate(us):
+                ref, f = basis_derivatives(kv, u, order)
+                assert first[i] == f
+                np.testing.assert_array_equal(
+                    ders[:, i].view(np.uint64), ref.view(np.uint64)
+                )
 
     @given(st.integers(1, 5), st.integers(0, 8), st.floats(0.0, 1.0))
     @settings(max_examples=200)
@@ -484,6 +530,12 @@ def eval_models(draw):
     return SplineModel(kvs, controls, np.zeros(d), np.ones(d)), rng
 
 
+def voids2d_case(seed):
+    """The benchmark's voids2d evaluation size: 48 x 48 quartic controls."""
+    rng = np.random.default_rng(seed)
+    return random_model(rng, (48, 48), 4), rng
+
+
 def knot_heavy_params(model, rng, m):
     """m parameter rows, about half of each column drawn from the knots
     (0, 1 and every interior knot), the rest uniform on [0, 1]."""
@@ -612,6 +664,8 @@ class TestParallelEvaluation:
         st.sampled_from([0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK + 1]),
         st.integers(1, 4),
     )
+    @example(voids2d_case(90), _EVAL_BLOCK + 1, 2)
+    @example(voids2d_case(91), 2 * _EVAL_BLOCK + 3, 1)
     @settings(max_examples=30, deadline=None)
     def test_equals_basis_matrix_product(self, case, m, workers):
         model, rng = case
@@ -651,6 +705,69 @@ class TestParallelEvaluation:
         assert [item for item, _ in bsplines._map_parallel(where, range(50))] == list(
             range(50)
         )
+
+
+class TestBasisMatrixBlocks:
+    """Past _EVAL_BLOCK rows, _basis_matrix fills its CSR a block at a time."""
+
+    @pytest.mark.parametrize(
+        "kvs",
+        [
+            (uniform_clamped_knots(9, 2),),
+            (uniform_clamped_knots(7, 4), uniform_clamped_knots(9, 4)),
+            (
+                uniform_clamped_knots(5, 3),
+                uniform_clamped_knots(6, 3),
+                KnotVector(3, [0.0] * 4 + [0.2, 0.2, 0.7] + [1.0] * 4),
+            ),
+        ],
+        ids=["1d-quadratic", "2d-quartic", "3d-cubic"],
+    )
+    def test_rows_equal_scalar_products_across_blocks(self, kvs, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(tensor_basis_rows(*args))
+            return built[-1]
+
+        monkeypatch.setattr(bsplines, "tensor_basis_rows", spy)
+        d, local = len(kvs), int(np.prod([kv.degree + 1 for kv in kvs]))
+        rng = np.random.default_rng(70 + d)
+        rows = 2 * _EVAL_BLOCK + 3
+        # coordinates from a pool per dimension (its knots and random values),
+        # so the scalar reference is one basis_values call per pool entry
+        pools = [np.concatenate([kv.knots, rng.uniform(0.0, 1.0, 40)]) for kv in kvs]
+        picks = [rng.integers(0, pool.size, rows) for pool in pools]
+        params = np.stack([pool[pick] for pool, pick in zip(pools, picks)], axis=1)
+        # the reference row: products of scalar basis values over the
+        # dimensions, ranks in row-major order, last dimension fastest
+        weights, ranks = np.ones((rows, 1)), np.zeros((rows, 1), dtype=int)
+        for kv, pool, pick in zip(kvs, pools, picks):
+            scalar = [basis_values(kv, u) for u in pool]
+            vals = np.array([v for v, _ in scalar])[pick]
+            local_ranks = np.array([f for _, f in scalar])[pick, None] + np.arange(kv.degree + 1)
+            weights = (weights[:, :, None] * vals[:, None, :]).reshape(rows, -1)
+            ranks = (ranks[:, :, None] * kv.n + local_ranks[:, None, :]).reshape(rows, -1)
+        n_tot = int(np.prod([kv.n for kv in kvs]))
+        for m in (0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1, rows):
+            mat = _basis_matrix(kvs, params[:m])
+            assert mat.shape == (m, n_tot)
+            assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
+            np.testing.assert_array_equal(mat.indptr, np.arange(m + 1) * local)
+            np.testing.assert_array_equal(mat.indices, ranks[:m].ravel())
+            np.testing.assert_array_equal(
+                mat.data.view(np.uint64), weights[:m].ravel().view(np.uint64)
+            )
+            if 0 < m <= _EVAL_BLOCK:
+                # one block: SciPy keeps the kernel's arrays, uncopied
+                assert np.shares_memory(mat.data, built[-1][0])
+                assert np.shares_memory(mat.indices, built[-1][1])
+
+    def test_index_dtype_switches_past_int32(self):
+        top = np.iinfo(np.int32).max
+        assert bsplines._index_dtype() is np.int32
+        assert bsplines._index_dtype(0, top) is np.int32
+        assert bsplines._index_dtype(top + 1, 0) is np.int64
 
 
 class TestSplineModelInput:
