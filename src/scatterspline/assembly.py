@@ -20,6 +20,7 @@ from .bsplines import (
     KnotVector,
     _basis_matrix,
     dim_maximizers,
+    grid_points,
     _unit_params,
     owned_box,
     owned_finite,
@@ -119,15 +120,7 @@ class FitConfig:
                 )
         if not np.isfinite(self.threshold) or self.threshold < 0:
             raise ValueError("threshold must be finite and >= 0")
-        orders = tuple(sorted(set(int(o) for o in self.orders)))
-        if any(o not in (1, 2) for o in orders):
-            raise ValueError("penalty orders must be a subset of {1, 2}")
-        if not orders and self.threshold > 0:
-            raise ValueError("threshold > 0 requires a nonempty penalty order set")
-        if orders and max(orders) > self.degree:
-            raise ValueError(
-                f"penalty order {max(orders)} exceeds degree {self.degree}"
-            )
+        orders = _penalty_orders(self.orders, self.degree, self.threshold)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "orders", orders)
 
@@ -138,6 +131,18 @@ class FitConfig:
     @property
     def n_tot(self) -> int:
         return int(np.prod(self.shape))
+
+
+def _penalty_orders(orders, degree: int, threshold: float) -> tuple[int, ...]:
+    """The orders sorted and deduplicated; ValueError if FitConfig rejects them."""
+    orders = tuple(sorted(set(int(o) for o in orders)))
+    if any(o not in (1, 2) for o in orders):
+        raise ValueError("penalty orders must be a subset of {1, 2}")
+    if not orders and threshold > 0:
+        raise ValueError("threshold > 0 requires a nonempty penalty order set")
+    if orders and max(orders) > degree:
+        raise ValueError(f"penalty order {max(orders)} exceeds degree {degree}")
+    return orders
 
 
 def parameterize(cloud: PointCloud) -> np.ndarray:
@@ -187,23 +192,13 @@ def build_penalty_block(
     """n_tot x n_tot block of delta-order basis derivatives at the maximizers.
 
     Row i (evaluation point: the maximizer of basis function i) holds the
-    delta-partial of every basis function j there. The tensor structure makes
-    the block an exact Kronecker product of 1-D derivative collocation
-    matrices, assembled dimension by dimension.
+    delta-partial of every basis function j there. The maximizers form a
+    tensor grid in lexicographic order, so the block is the delta-derivative
+    basis matrix at that grid.
     """
-    delta = tuple(int(o) for o in delta)
-    if len(delta) != len(knots):
-        raise ValueError(f"expected a {len(knots)}-component derivative order")
-    for o, kv in zip(delta, knots):
-        if not 0 <= o <= kv.degree:
-            raise ValueError(f"derivative order {o} outside [0, {kv.degree}]")
     if maximizers is None:
         maximizers = [dim_maximizers(kv) for kv in knots]
-    block = None
-    for kv, order, w_axis in zip(knots, delta, maximizers):
-        mat = _basis_matrix((kv,), np.reshape(w_axis, (-1, 1)), (order,))
-        block = mat if block is None else sparse.kron(block, mat, format="csr")
-    return block.tocsr()
+    return _basis_matrix(knots, grid_points(maximizers), delta)
 
 
 def stack_penalty(

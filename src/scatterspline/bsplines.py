@@ -621,8 +621,8 @@ def _basis_matrix(
     """Sparse (m, n_tot) matrix of the tensor_basis_rows of every point.
 
     Row i holds point i's (p+1)^d local weights at their ascending
-    lexicographic columns; the collocation matrix, each per-dimension penalty
-    factor and each grid axis of eval_model_grid are this matrix.
+    lexicographic columns; the collocation matrix, each penalty block (at the
+    maximizer grid) and each grid axis of eval_model_grid are this matrix.
 
     Up to _EVAL_BLOCK rows, the weights and ranks become the CSR's data and
     indices uncopied. More rows are built a block at a time, each block's

@@ -171,7 +171,7 @@ def _cmd_fit(args) -> int:
     system = assemble_system(cloud, config)
     controls, report = solve(system)
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
-    save_model(args.out, model, threshold=args.threshold, orders=args.orders)
+    save_model(args.out, model, threshold=config.threshold, orders=config.orders)
     if args.report:
         rows = _report_rows(report, args.threshold, system.lambdas)
         write_key_values(args.report, rows)
@@ -201,7 +201,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     model, settings = load_model(args.model)
-    cloud = None
+    if args.lambda_out:
+        # refused before any metric is printed or written
+        if args.reference == "polysinc":
+            raise ValueError("lambda export needs the fitted cloud CSV as --reference")
+        if settings["threshold"] is None or settings["orders"] is None:
+            raise ValueError("model file does not record threshold and orders")
+        config = FitConfig(model.degree, model.shape, settings["threshold"], settings["orders"])
     if args.reference == "polysinc":
         if model.d != 2 or model.num_values != 1:
             raise ValueError("polysinc reference needs a 2D single-value model")
@@ -222,16 +228,6 @@ def _cmd_report(args) -> int:
     if args.out:
         write_key_values(args.out, rows)
     if args.lambda_out:
-        if cloud is None:
-            raise ValueError("lambda export needs the fitted cloud CSV as --reference")
-        if settings["threshold"] is None or settings["orders"] is None:
-            raise ValueError("model file does not record threshold and orders")
-        config = FitConfig(
-            degree=model.degree,
-            shape=model.shape,
-            threshold=settings["threshold"],
-            orders=settings["orders"],
-        )
         system = assemble_system(cloud, config)
         field = lambda_field(system)
         physical = model.to_coords(field.maximizers)

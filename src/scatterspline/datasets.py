@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .assembly import PointCloud
+from .assembly import PointCloud, _penalty_orders
 from .bsplines import KnotVector, SplineModel, _sample_box, grid_points
 
 __all__ = [
@@ -457,7 +457,8 @@ def load_model(path):
     """Read a saved model; returns (model, settings dict).
 
     settings carries 'threshold' and 'orders' when the file recorded them,
-    else None. Raises ModelFileError on any structural problem.
+    else None, orders sorted and deduplicated. Raises ModelFileError on any
+    structural problem and on orders FitConfig rejects for the file.
     """
     reader = _ModelReader(path)
     head = reader.next_line("header")
@@ -479,7 +480,11 @@ def load_model(path):
         if not 0.0 <= settings["threshold"] < math.inf:
             reader.fail("threshold must be finite and >= 0")
     if reader.peek_key() == "orders":
-        settings["orders"] = tuple(reader.keyed("orders", None, int))
+        orders = reader.keyed("orders", None, int)
+        try:
+            settings["orders"] = _penalty_orders(orders, degree, settings["threshold"] or 0.0)
+        except ValueError as exc:
+            reader.fail(str(exc))
     knot_vectors = []
     for k in range(d):
         knots = reader.keyed("knots", shape[k] + degree + 1)

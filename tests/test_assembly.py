@@ -1,5 +1,7 @@
 """Tests for system assembly: collocation, penalty blocks, smoothing weights."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +21,11 @@ from scatterspline.assembly import (
     stack_penalty,
 )
 from scatterspline.bsplines import (
+    _EVAL_BLOCK,
     IndexSet,
     KnotVector,
     SplineModel,
+    _basis_matrix,
     basis_derivative_single,
     basis_maximizer,
     lex_unrank,
@@ -53,6 +57,27 @@ def dense_penalty_oracle(delta, knots):
                 prod *= basis_derivative_single(kv, beta[k], w[k], delta[k])
             out[i, j] = prod
     return out
+
+
+def kron_penalty_block(delta, knots, maximizers):
+    """The penalty block as the Kronecker product of its 1-D factors."""
+    block = None
+    for kv, order, w_axis in zip(knots, delta, maximizers):
+        factor = _basis_matrix((kv,), np.reshape(w_axis, (-1, 1)), (order,))
+        block = factor if block is None else sparse.kron(block, factor, format="csr")
+    return block.tocsr()
+
+
+def sample_knots(p, kind, rng):
+    """A clamped knot vector of degree p: uniform, random interior knots, or
+    random interior knots with one of them doubled."""
+    n = p + 3 + int(rng.integers(0, 4))
+    if kind == "uniform":
+        return uniform_clamped_knots(n, p)
+    inner = np.sort(rng.uniform(0.05, 0.95, n - p - 1))
+    if kind == "repeated":
+        inner[1] = inner[0]
+    return KnotVector(p, np.concatenate([np.zeros(p + 1), inner, np.ones(p + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +261,38 @@ class TestPenaltyBlock:
     def test_invalid_order(self):
         config = FitConfig(degree=2, shape=(5, 5))
         knots = build_knots(config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"derivative order 3 outside \[0, 2\]"):
             build_penalty_block((3, 0), knots)
+        with pytest.raises(ValueError, match="expected a 2-component derivative order"):
+            build_penalty_block((2,), knots)
+
+    @staticmethod
+    def assert_kronecker_form(knots, max_order):
+        # the block at the maximizer grid has the structure and the values of
+        # the Kronecker product of the 1-D blocks; array_equal holds -0.0 and
+        # +0.0 equal, the one difference the two sums may round to
+        maximizers = [dim_maximizers(kv) for kv in knots]
+        for delta in itertools.product(range(max_order + 1), repeat=len(knots)):
+            block = build_penalty_block(delta, knots, maximizers)
+            expected = kron_penalty_block(delta, knots, maximizers)
+            assert block.shape == expected.shape
+            np.testing.assert_array_equal(block.indptr, expected.indptr)
+            np.testing.assert_array_equal(block.indices, expected.indices)
+            assert np.array_equal(block.data, expected.data), delta
+
+    @pytest.mark.parametrize("kind", ["uniform", "nonuniform", "repeated"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_kronecker_form(self, d, p, kind):
+        rng = np.random.default_rng([d, p, len(kind)])
+        knots = tuple(sample_knots(p, kind, rng) for _ in range(d))
+        self.assert_kronecker_form(knots, min(p, 2))
+
+    def test_equals_kronecker_form_above_one_block(self):
+        # more rows than _EVAL_BLOCK: the basis matrix is filled block by block
+        config = FitConfig(degree=2, shape=(24, 24, 16))
+        assert config.n_tot > _EVAL_BLOCK
+        self.assert_kronecker_form(build_knots(config), 2)
 
 
 class TestStacking:

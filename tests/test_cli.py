@@ -173,7 +173,8 @@ class TestModelFile:
         controls[-len(special):, 1] = special
         model = SplineModel((kv,), controls, [5e-324], [1e300])
         path = tmp_path / "long.model"
-        save_model(path, model, threshold=0.1, orders=(2,))
+        # a degree-1 model records order 1; load_model refuses order 2 there
+        save_model(path, model, threshold=0.1, orders=(1,))
         back, settings = load_model(path)
         def bits(array):
             return np.ascontiguousarray(array).view(np.uint64)
@@ -182,7 +183,7 @@ class TestModelFile:
         assert_array_equal(bits(back.knot_vectors[0].knots), bits(kv.knots))
         assert_array_equal(bits(back.bbox_min), bits(model.bbox_min))
         assert_array_equal(bits(back.bbox_max), bits(model.bbox_max))
-        assert settings == {"threshold": 0.1, "orders": (2,)}
+        assert settings == {"threshold": 0.1, "orders": (1,)}
         copy = tmp_path / "copy.model"
         save_model(copy, back, **settings)
         assert copy.read_bytes() == path.read_bytes()
@@ -651,7 +652,9 @@ class TestEval:
         model = SplineModel(kvs, controls, -rng.uniform(1, 5, d), rng.uniform(1, 5, d))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bad.model"
-            save_model(path, model, threshold=float(rng.uniform(0, 3)), orders=(1, 2))
+            # orders the degree allows, so only the injected fault is wrong
+            orders = (1, 2)[:p]
+            save_model(path, model, threshold=float(rng.uniform(0, 3)), orders=orders)
             lines = path.read_text().splitlines()
             fault = data.draw(st.sampled_from(["truncate", "x", "nan", "inf", "1e999"]))
             if fault == "truncate":
@@ -771,10 +774,18 @@ class TestReport:
 
     def test_lambda_export_needs_cloud_reference(self, tmp_path, capsys):
         model_path, data = self._fitted(tmp_path)
+        capsys.readouterr()  # drop the fit's own line
         code = main(["report", "--model", str(model_path),
-                     "--reference", "polysinc",
+                     "--reference", "polysinc", "--out", str(tmp_path / "r.csv"),
                      "--lambda-out", str(tmp_path / "lam.csv")])
         assert code == 2
+        # refused before any metric is printed or written
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "lam.csv").exists()
 
     def test_lambda_export_needs_recorded_settings(self, tmp_path, capsys):
         model = random_model()
@@ -783,10 +794,15 @@ class TestReport:
         data = tmp_path / "d.csv"
         spline_csv(data)
         code = main(["report", "--model", str(model_path),
-                     "--reference", str(data),
+                     "--reference", str(data), "--out", str(tmp_path / "r.csv"),
                      "--lambda-out", str(tmp_path / "lam.csv")])
         assert code == 2
-        assert "record" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:") and "record" in err[0]
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "lam.csv").exists()
 
     @pytest.mark.parametrize("threshold", [math.nan, -1.0])
     def test_lambda_export_with_bad_threshold_is_io_error(self, tmp_path, capsys, threshold):
@@ -800,6 +816,56 @@ class TestReport:
         assert code == 4
         assert len(err) == 1 and "threshold must be finite" in err[0]
         assert not (tmp_path / "lam.csv").exists()
+
+    @pytest.mark.parametrize(
+        "degree, threshold, orders, message",
+        [
+            (3, 1.0, (3,), "penalty orders must be a subset of {1, 2}"),
+            (3, 1.0, (0, 2), "penalty orders must be a subset of {1, 2}"),
+            (3, 1.0, (-1,), "penalty orders must be a subset of {1, 2}"),
+            (3, 1.0, (), "threshold > 0 requires a nonempty penalty order set"),
+            (1, 1.0, (2,), "penalty order 2 exceeds degree 1"),
+        ],
+    )
+    def test_model_with_bad_orders_is_io_error(
+        self, tmp_path, capsys, degree, threshold, orders, message
+    ):
+        # every command refuses an orders line FitConfig would reject
+        model_path = tmp_path / "m.model"
+        save_model(model_path, random_model(p=degree), threshold=threshold, orders=orders)
+        data = tmp_path / "d.csv"
+        spline_csv(data)
+        commands = {
+            "eval": ["eval", "--model", str(model_path), "--grid", "4,4",
+                     "--out", str(tmp_path / "v.csv")],
+            "report": ["report", "--model", str(model_path), "--reference", str(data),
+                       "--out", str(tmp_path / "r.csv"),
+                       "--lambda-out", str(tmp_path / "lam.csv")],
+        }
+        for name, argv in commands.items():
+            code = main(argv)
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert code == 4, name
+            assert captured.out == "", name
+            assert len(err) == 1 and f"line 9: {message}" in err[0], name
+        for name in ("v.csv", "r.csv", "lam.csv"):
+            assert not (tmp_path / name).exists()
+
+    def test_recorded_orders_come_back_sorted(self, tmp_path):
+        model_path = tmp_path / "m.model"
+        save_model(model_path, random_model(), threshold=1.0, orders=(2, 1, 2))
+        _, settings = load_model(model_path)
+        assert settings["orders"] == (1, 2)
+
+    def test_fit_records_configured_orders(self, tmp_path):
+        data = tmp_path / "d.csv"
+        spline_csv(data)
+        model_path = tmp_path / "m.model"
+        code = main(["fit", "--input", str(data), "--degree", "2", "--ctrl", "8,8",
+                     "--threshold", "1", "--orders", "2,1,2", "--out", str(model_path)])
+        assert code == 0
+        assert "orders 1 2" in model_path.read_text().splitlines()
 
     def test_nonexistent_reference_is_io_error(self, tmp_path, capsys):
         model_path, _ = self._fitted(tmp_path)
