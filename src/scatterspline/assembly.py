@@ -291,7 +291,9 @@ def assemble_system(cloud: PointCloud, config: FitConfig) -> LinearSystem:
     params = parameterize(cloud)
     knots = build_knots(config)
     collocation = build_collocation(params, knots)
-    maximizer_axes = tuple(dim_maximizers(kv) for kv in knots)
+    # equal control counts give equal knot vectors: search each count once
+    found = {n: dim_maximizers(kv) for n, kv in dict(zip(config.shape, knots)).items()}
+    maximizer_axes = tuple(found[n].copy() for n in config.shape)
     deltas = tuple(derivative_multi_indices(config.d, config.orders))
     blocks = {
         delta: build_penalty_block(delta, knots, list(maximizer_axes))

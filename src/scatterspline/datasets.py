@@ -9,6 +9,7 @@ back bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -248,14 +249,91 @@ def _parse_header(fields, path):
 
 
 def _read_table(path, parse_header) -> tuple[tuple[int, ...], np.ndarray]:
-    """Numeric rows of a CSV file; every error names the 1-based line.
+    r"""Numeric rows of a CSV file; every error names the 1-based line.
 
     parse_header(fields) checks the header and returns the sizes of the
-    leading column groups to convert; they are returned with the data. Blank
-    lines are skipped. Each data row must have as many fields as the header,
-    every converted field must parse with float(), and every value must be
-    finite. Rows are parsed a block at a time; a block that fails is parsed
-    again line by line, only to name the bad line.
+    leading column groups to convert; they are returned with the data. The
+    grammar is float()'s on each line (_float_table). Most files are parsed
+    by NumPy's C text reader instead, a block of text at a time
+    (_loadtxt_table), with the same bits: files whose only line break is
+    "\n" once the text mode has translated "\r\n" and "\r", with no
+    \x1c-\x1f and no whitespace-only line before the last row, and whose
+    rows have the header's width and only finite numbers without
+    underscores or non-ASCII digits. Any other file, malformed or not, is
+    parsed again by _float_table.
+    """
+    try:
+        return _loadtxt_table(path, parse_header)
+    except ValueError:  # malformed, undecodable, or outside the shared subset
+        return _float_table(path, parse_header)
+
+
+_BLOCK_CHARS = 1 << 20  # characters of text parsed per block
+# text with one of these is left to _float_table: the line breaks
+# str.splitlines knows beyond "\n", and \x1c-\x1f, which loadtxt strips from
+# a field as whitespace but float() does not. An ASCII string is searched
+# for a non-ASCII character in constant time
+_OUTSIDE_SUBSET = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _text_blocks(handle):
+    r"""The rest of a text file in blocks of about _BLOCK_CHARS, each cut after a "\n"."""
+    carry = ""
+    while chunk := handle.read(_BLOCK_CHARS):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            yield text[:cut]
+    if carry:
+        yield carry
+
+
+def _loadtxt_table(path, parse_header):
+    r"""_float_table's result from np.loadtxt, a block of text at a time.
+
+    Raises ValueError wherever it cannot vouch for that result. The text
+    mode turns "\r\n" and a lone "\r" into "\n", the only break loadtxt
+    splits at, so a block without the other breaks str.splitlines knows has
+    the same lines. loadtxt strips a field's whitespace and converts it with
+    PyOS_string_to_double, the converter float() calls; underscores and
+    non-ASCII digits, which only float() takes, fail. A whitespace-only
+    line before a block's last row, a ragged row, a non-numeric column past
+    the kept ones, a non-finite value and a file without rows raise too.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        header = handle.readline()
+        if not header.strip() or any(c in header for c in _OUTSIDE_SUBSET):
+            raise ValueError("header outside the shared subset")
+        fields = [f.strip() for f in header.split(",")]
+        groups = parse_header(fields)
+        keep = sum(groups)
+        parts = []
+        for block in _text_blocks(handle):
+            if any(c in block for c in _OUTSIDE_SUBSET):
+                raise ValueError("block outside the shared subset")
+            block = block.rstrip()  # whitespace-only lines at its end too
+            if not block:
+                continue
+            table = np.loadtxt(io.StringIO(block), delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] != len(fields):
+                raise ValueError("wrong width")
+            table = table[:, :keep]
+            if not np.isfinite(table).all():
+                raise ValueError("non-finite value")
+            parts.append(table)
+    if not parts:
+        raise ValueError("no data rows")
+    return groups, np.concatenate(parts)
+
+
+def _float_table(path, parse_header):
+    """The reference grammar: float() on each line of str.splitlines.
+
+    Blank lines are skipped. Each data row must have as many fields as the
+    header, every converted field must parse with float(), and every value
+    must be finite. Rows are parsed a block at a time; a block that fails is
+    parsed again line by line, only to name the bad line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -391,8 +469,13 @@ def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
     """Write a model as versioned structured text with full-precision numbers.
 
     threshold and orders are optional fit settings carried along so later
-    reporting can reassemble the penalty for the same configuration.
+    reporting can reassemble the penalty for the same configuration. Settings
+    load_model would refuse raise ValueError before the file is opened.
     """
+    if threshold is not None and not 0.0 <= float(threshold) < math.inf:
+        raise ValueError("threshold must be finite and >= 0")
+    if orders is not None:
+        _penalty_orders(orders, model.degree, float(threshold or 0.0))
 
     def keyed(key, values):
         return key + " " + "".join(_format_rows([values], " "))

@@ -372,6 +372,27 @@ class TestComputeLambdas:
 # ---------------------------------------------------------------------------
 
 class TestAssembleSystem:
+    @pytest.mark.parametrize(
+        "shape, searches", [((6, 6), 1), ((6, 5), 2), ((5, 6, 5), 2), ((5, 5, 5), 1)]
+    )
+    def test_maximizers_searched_once_per_knot_vector(self, monkeypatch, shape, searches):
+        from scatterspline import assembly
+
+        calls = []
+
+        def counted(kv):
+            calls.append(kv.n)
+            return dim_maximizers(kv)
+
+        monkeypatch.setattr(assembly, "dim_maximizers", counted)
+        cloud = random_cloud(np.random.default_rng(30), 150, box=[(0.0, 1.0)] * len(shape))
+        system = assemble_system(cloud, FitConfig(degree=2, shape=shape, threshold=1.0))
+        assert len(calls) == searches
+        for i, (axis, kv) in enumerate(zip(system.maximizer_axes, build_knots(system.config))):
+            np.testing.assert_array_equal(axis, dim_maximizers(kv))
+            assert axis.flags.writeable  # each axis owns its array
+            assert not any(np.shares_memory(axis, other) for other in system.maximizer_axes[:i])
+
     def test_zero_threshold_lambdas_identically_zero(self):
         rng = np.random.default_rng(31)
         cloud = random_cloud(rng, 120)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,6 +42,16 @@ def random_model(seed=0, n=8, p=3, box=((-2.0, 3.0), (1.0, 4.0))):
     return SplineModel((kv, kv), controls, lo, hi)
 
 
+def save_refused_settings(path, model, threshold, orders):
+    """A model file recording settings save_model refuses, in its line format."""
+    save_model(path, model, threshold=0.0, orders=())
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[7] == "threshold 0\n" and lines[8] == "orders \n"
+    lines[7] = f"threshold {datasets._NUMBER % threshold}\n"
+    lines[8] = "orders " + " ".join(str(o) for o in orders) + "\n"
+    path.write_text("".join(lines))
+
+
 def spline_csv(path, seed=0, grid=(30, 30)):
     """CSV sampled from a random spline; returns the source model."""
     model = random_model(seed=seed)
@@ -72,6 +83,23 @@ class TestModelFile:
         _, settings = load_model(path)
         assert settings["threshold"] is None
         assert settings["orders"] is None
+
+    @pytest.mark.parametrize(
+        "threshold, orders, message",
+        [(0.1, (2,), "penalty order 2 exceeds degree 1"),
+         (None, (1, 3), "subset of {1, 2}"),
+         (0.5, (), "nonempty penalty order set"),
+         (-1.0, (1,), "finite and >= 0"),
+         (float("nan"), None, "finite and >= 0"),
+         (float("inf"), (1,), "finite and >= 0")],
+    )
+    def test_save_refuses_settings_load_refuses(self, tmp_path, threshold, orders, message):
+        kv = uniform_clamped_knots(4, 1)
+        model = SplineModel((kv,), np.ones((4, 1)), [0.0], [1.0])
+        path = tmp_path / "refused.model"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_model(path, model, threshold=threshold, orders=orders)
+        assert not path.exists()
 
     def test_version_line_present(self, tmp_path):
         model = random_model()
@@ -631,7 +659,7 @@ class TestEval:
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_bad_threshold_in_model_is_io_error(self, tmp_path, capsys, threshold):
         path = tmp_path / "m.model"
-        save_model(path, random_model(), threshold=threshold, orders=(2,))
+        save_refused_settings(path, random_model(), threshold, (2,))
         code = main(["eval", "--model", str(path), "--grid", "4,4",
                      "--out", str(tmp_path / "v.csv")])
         err = capsys.readouterr().err.splitlines()
@@ -807,7 +835,7 @@ class TestReport:
     @pytest.mark.parametrize("threshold", [math.nan, -1.0])
     def test_lambda_export_with_bad_threshold_is_io_error(self, tmp_path, capsys, threshold):
         model_path = tmp_path / "m.model"
-        save_model(model_path, random_model(), threshold=threshold, orders=(2,))
+        save_refused_settings(model_path, random_model(), threshold, (2,))
         data = tmp_path / "d.csv"
         spline_csv(data)
         code = main(["report", "--model", str(model_path), "--reference", str(data),
@@ -832,7 +860,7 @@ class TestReport:
     ):
         # every command refuses an orders line FitConfig would reject
         model_path = tmp_path / "m.model"
-        save_model(model_path, random_model(p=degree), threshold=threshold, orders=orders)
+        save_refused_settings(model_path, random_model(p=degree), threshold, orders)
         data = tmp_path / "d.csv"
         spline_csv(data)
         commands = {

@@ -1,6 +1,7 @@
 """Synthetic generators, CSV round trips, and grid resampling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -334,7 +335,11 @@ def float_rows(text):
 
 
 class TestCsvBlocks:
-    """The block writer and reader against per-value references."""
+    """The block writer and the reader against per-value references.
+
+    BLOCK is the writer's block of rows; the reader's blocks are
+    datasets._BLOCK_CHARS characters of text (see TestCsvReader).
+    """
 
     @staticmethod
     def formatted(header, table):
@@ -367,10 +372,12 @@ class TestCsvBlocks:
         special = [-0.0, 5e-324, 1e300, 0.1, -2.5e-310, 2.0]
         kx, ky = uniform_clamped_knots(2, 1), uniform_clamped_knots(3, 1)
         rng = np.random.default_rng(44)
-        long_1d = uniform_clamped_knots(BLOCK + 3, 1)  # controls cross a block seam
+        long_1d = uniform_clamped_knots(BLOCK + 3, 2)  # controls cross a block seam
         scales = 10.0 ** rng.integers(-300, 300, BLOCK + 3)
+        quadratic = uniform_clamped_knots(3, 2)  # degree 2 allows orders (1, 2)
         cases = [
-            (SplineModel((kx, ky), np.reshape(special, (6, 1)), [-0.0, 5e-324], [0.1, 1e300]),
+            (SplineModel((quadratic, quadratic), np.reshape(special + special[:3], (9, 1)),
+                         [-0.0, 5e-324], [0.1, 1e300]),
              0.1, (1, 2)),
             (SplineModel((kx, ky), np.column_stack([special, special[::-1]]), [0, 0], [1, 1]),
              None, None),
@@ -406,7 +413,7 @@ class TestCsvBlocks:
             ",".join(pads[(i + j) % 5] + repr(v) + pads[i * j % 5] for j, v in enumerate(row))
             for i, row in enumerate(table.tolist())
         ]
-        for at in (BLOCK + 1, BLOCK - 1, 5):  # blank lines in both blocks and at the seam
+        for at in (BLOCK + 1, BLOCK - 1, 5):  # blank lines early and late in the file
             lines[at:at] = ["", "   "]
         text = "x1,x2,v1\r\n" + "\r\n".join(lines) + "\r\n\r\n"
         path = tmp_path / "w.csv"
@@ -453,6 +460,175 @@ class TestCsvBlocks:
         back = read_csv(path)
         assert_array_equal(bits(back.coords), bits(cloud.coords))
         assert_array_equal(bits(back.values), bits(cloud.values))
+
+
+def float_path_refused(path, parse_header):
+    raise AssertionError("read by the float() path")
+
+
+class TestCsvReader:
+    """The loadtxt block path and the float() line path give the same result."""
+
+    PADS = ["", "", " ", "\t", "  ", "\u00a0 ", " \u00a0"]
+
+    @given(
+        st.lists(st.tuples(FINITE, FINITE, FINITE), min_size=1, max_size=12),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_padded_tables_read_as_float_reads_them(self, tmp_path_factory, rows, data):
+        # two anchor rows keep the tight box non-degenerate
+        table = np.array([(-1.0, -1.0, 0.0), (1.0, 1.0, 0.0)] + rows)
+        path = tmp_path_factory.mktemp("pad") / "t.csv"
+        datasets.write_table(path, ["x1", "x2", "v1"], table)
+        header, *lines = path.read_text().splitlines()
+        # a whitespace-only line sends the file to the float() path; without
+        # one, the loadtxt path must read it alone
+        whitespace_lines = data.draw(st.booleans())
+        blank = st.sampled_from(["", "", " \t"] if whitespace_lines else [""])
+        pad = st.sampled_from(self.PADS)
+        out = [header]
+        for line in lines:
+            out += data.draw(st.lists(blank, max_size=2))
+            out.append(",".join(data.draw(pad) + f + data.draw(pad) for f in line.split(",")))
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(out)
+        text += data.draw(st.sampled_from(["", "\n", "\r\n\r\n"]))
+        path.write_bytes(text.encode("utf-8"))
+        block = data.draw(st.sampled_from([16, 64, datasets._BLOCK_CHARS]))
+        with mock.patch.object(datasets, "_BLOCK_CHARS", block):
+            if whitespace_lines:
+                cloud = read_csv(path)
+            else:
+                with mock.patch.object(datasets, "_float_table", float_path_refused):
+                    cloud = read_csv(path)
+        expected = float_rows(text)
+        assert_array_equal(expected, table)
+        assert_array_equal(bits(cloud.coords), bits(expected[:, :2]))
+        assert_array_equal(bits(cloud.values), bits(expected[:, 2:]))
+
+    def test_loadtxt_path_reads_padded_crlf_across_a_seam(self, tmp_path):
+        # write_csv output with CRLF endings, empty lines, padding that
+        # includes \u00a0 and whitespace-only lines at the end, spanning
+        # several text blocks
+        rng = np.random.default_rng(45)
+        count = datasets._BLOCK_CHARS // 20 + 2000
+        coords = rng.uniform(-1, 1, (count, 2)) * 10.0 ** rng.integers(-300, 300, (count, 1))
+        cloud = PointCloud(coords, rng.standard_normal((count, 1)))
+        path = tmp_path / "c.csv"
+        write_csv(cloud, path)
+        header, *lines = path.read_text().splitlines()
+        pads = ["", " ", "\t", "\u00a0", " \u00a0 "]
+        out = [header]
+        for i, line in enumerate(lines):
+            if i % 97 == 0:
+                out.append("")
+            out.append(",".join(pads[(i + j) % 5] + f + pads[i * j % 5]
+                                for j, f in enumerate(line.split(","))))
+        path.write_bytes(("\r\n".join(out) + "\r\n\r\n \t\u00a0\r\n ").encode("utf-8"))
+        assert path.stat().st_size > 2 * datasets._BLOCK_CHARS
+        with mock.patch.object(datasets, "_float_table", float_path_refused):
+            back = read_csv(path)
+        assert_array_equal(bits(back.coords), bits(cloud.coords))
+        assert_array_equal(bits(back.values), bits(cloud.values))
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("1,2,3\n \t\n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\v4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\f4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\x1c4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\x1d4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\x1e4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\x854,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\u20284,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1,2,3\u20294,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+            ("1_0,2,3\n4,5,6\n", [[10, 2, 3], [4, 5, 6]]),
+            ("\u0663,2,1\u0663\n4,5,6\n", [[3, 2, 13], [4, 5, 6]]),
+            ("0x1p3,2,3\n", "line 2: could not convert string to float: '0x1p3'"),
+            ("1,2\x1f,3\n", "line 2: could not convert string to float: '2\\x1f'"),
+            ("1,2,3\n4,nan,6\n", "line 3: non-finite value"),
+            ("1,2,3\n4,5,-inf\n", "line 3: non-finite value"),
+            ("1,2,3\n4,5,1e999\n", "line 3: non-finite value"),
+            ("1,2,3\n4,5\n", "line 3: expected 3 fields, got 2"),
+            ("1,2,nan\n\n4,5\n", "line 4: expected 3 fields, got 2"),
+            ("1,2,3\n\n4,5,6,7\n", "line 4: expected 3 fields, got 4"),
+            ("1,2,3\n4,5,#6\n", "line 3: could not convert string to float: '#6'"),
+            ("  \n\n", "no data rows"),
+            ("1,2,3\r\n\f\r\n4,5,6", [[1, 2, 3], [4, 5, 6]]),
+        ],
+    )
+    def test_reference_path_triggers(self, tmp_path, body, expected):
+        path = tmp_path / "r.csv"
+        path.write_bytes(("x1,x2,v1\n" + body).encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(CsvParseError) as info:
+                read_csv(path)
+            assert str(info.value) == f"{path}: {expected}"
+        else:
+            cloud = read_csv(path)
+            assert_array_equal(bits(np.hstack([cloud.coords, cloud.values])),
+                               bits(np.array(expected, dtype=float)))
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [("", "empty file (missing header)"), (" \n", "empty file (missing header)"),
+         ("\n", "empty file (missing header)"), ("\nx1,v1\n1,2\n", "line 1: missing header"),
+         (" \t\nx1,v1\n1,2\n", "line 1: missing header"),
+         ("x1\fv1\n1,2\n", "line 1: header must be x1,..,xd,v1,..,vD (got 'x1')"),
+         ("x1,v1", "no data rows"), ("x1,v1\n\n\n", "no data rows")],
+    )
+    def test_header_errors(self, tmp_path, header, expected):
+        path = tmp_path / "h.csv"
+        path.write_bytes(header.encode("utf-8"))
+        with pytest.raises(CsvParseError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
+
+    def test_undecodable_byte_named_by_its_file_offset(self, tmp_path):
+        # past the first text block the reader reads, as when reading it whole
+        path = tmp_path / "u.csv"
+        path.write_bytes(b"x1,v1\n" + b"1,2\n" * 300_000 + b"\xff,3\n")
+        with pytest.raises(UnicodeDecodeError, match="position 1200006: invalid start byte"):
+            read_csv(path)
+
+    def test_read_points_takes_non_numeric_columns_past_d(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x1,x2,name,v1\n1,2,a,nan\n3,4,1_0,\n5,6,,x\n")
+        assert_array_equal(read_points(path, 2), [[1, 2], [3, 4], [5, 6]])
+        path.write_text("x1,x2,name\n1,2,a\n3,oops,b\n")
+        with pytest.raises(CsvParseError) as info:
+            read_points(path, 2)
+        assert str(info.value) == f"{path}: line 3: could not convert string to float: 'oops'"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(None, None), ("0.5,1", "expected 3 fields, got 2"),
+         ("0.5,0x1p3,1", "could not convert string to float: '0x1p3'"),
+         ("0.5,inf,1", "non-finite value")],
+    )
+    def test_rows_straddle_a_text_block_seam(self, tmp_path, bad, message):
+        # every row differs, so a row cut at the seam and joined wrongly shows
+        count = datasets._BLOCK_CHARS // 20 + 2000
+        table = np.column_stack([np.arange(count) / 7, -np.arange(count) / 3, np.ones(count)])
+        lines = [",".join(repr(v) for v in row) for row in table.tolist()]
+        header = "x1,x2,v1\n"
+        seam = len(header) + datasets._BLOCK_CHARS
+        lengths = np.cumsum([len(header)] + [len(line) + 1 for line in lines])
+        straddling = int(np.searchsorted(lengths, seam, side="right")) - 1
+        assert lengths[straddling] < seam < lengths[straddling + 1] - 1  # cut inside a row
+        path = tmp_path / "seam.csv"
+        if bad is None:
+            path.write_text(header + "".join(line + "\n" for line in lines))
+            cloud = read_csv(path)
+            assert_array_equal(bits(np.hstack([cloud.coords, cloud.values])), bits(table))
+            return
+        at = straddling + 1000  # in the second block
+        lines[at] = bad
+        path.write_text(header + "".join(line + "\n" for line in lines))
+        with pytest.raises(CsvParseError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: line {at + 2}: {message}"
 
 
 class TestResampleGrid:
