@@ -217,7 +217,7 @@ def _annulus_values(coords, center, half):
     return 4.0 + 6.0 * np.sin(math.pi * x) * np.cos(math.pi * y)
 
 
-_BLOCK_ROWS = 8192  # rows parsed or formatted per block
+_BLOCK_ROWS = 8192  # rows formatted per block
 # every number written; the text equals format() at 17 significant digits,
 # which reads back to the same double
 _NUMBER = "%.17g"
@@ -253,23 +253,29 @@ def _read_table(path, parse_header) -> tuple[tuple[int, ...], np.ndarray]:
 
     parse_header(fields) checks the header and returns the sizes of the
     leading column groups to convert; they are returned with the data. The
-    grammar is float()'s on each line (_float_table). Most files are parsed
-    by NumPy's C text reader instead, a block of text at a time
-    (_loadtxt_table), with the same bits: files whose only line break is
-    "\n" once the text mode has translated "\r\n" and "\r", with no
-    \x1c-\x1f and no whitespace-only line before the last row, and whose
-    rows have the header's width and only finite numbers without
-    underscores or non-ASCII digits. Any other file, malformed or not, is
-    parsed again by _float_table.
+    grammar is float() on each line of str.splitlines: blank lines are
+    skipped, each data row has the header's width, and every converted value
+    is finite. A malformed line anywhere is named before a non-finite value;
+    an undecodable byte anywhere wins over both, named by its file offset.
+    The file is read once, a block of text at a time: NumPy's C text reader
+    parses each block it can vouch for (_loadtxt_block), float() the others.
     """
     try:
-        return _loadtxt_table(path, parse_header)
-    except ValueError:  # malformed, undecodable, or outside the shared subset
-        return _float_table(path, parse_header)
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                return _parse_blocks(path, handle, parse_header)
+            except ValueError:
+                while handle.read(_BLOCK_CHARS):  # an undecodable byte further on wins
+                    pass
+                raise
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8") as handle:
+            handle.read()  # the decoder's own error, with its offset in the whole file
+        raise
 
 
 _BLOCK_CHARS = 1 << 20  # characters of text parsed per block
-# text with one of these is left to _float_table: the line breaks
+# text with one of these is left to _float_block: the line breaks
 # str.splitlines knows beyond "\n", and \x1c-\x1f, which loadtxt strips from
 # a field as whitespace but float() does not. An ASCII string is searched
 # for a non-ASCII character in constant time
@@ -289,106 +295,99 @@ def _text_blocks(handle):
         yield carry
 
 
-def _loadtxt_table(path, parse_header):
-    r"""_float_table's result from np.loadtxt, a block of text at a time.
-
-    Raises ValueError wherever it cannot vouch for that result. The text
-    mode turns "\r\n" and a lone "\r" into "\n", the only break loadtxt
-    splits at, so a block without the other breaks str.splitlines knows has
-    the same lines. loadtxt strips a field's whitespace and converts it with
-    PyOS_string_to_double, the converter float() calls; underscores and
-    non-ASCII digits, which only float() takes, fail. A whitespace-only
-    line before a block's last row, a ragged row, a non-numeric column past
-    the kept ones, a non-finite value and a file without rows raise too.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header.strip() or any(c in header for c in _OUTSIDE_SUBSET):
-            raise ValueError("header outside the shared subset")
-        fields = [f.strip() for f in header.split(",")]
-        groups = parse_header(fields)
-        keep = sum(groups)
-        parts = []
-        for block in _text_blocks(handle):
-            if any(c in block for c in _OUTSIDE_SUBSET):
-                raise ValueError("block outside the shared subset")
-            block = block.rstrip()  # whitespace-only lines at its end too
-            if not block:
-                continue
-            table = np.loadtxt(io.StringIO(block), delimiter=",", comments=None, ndmin=2)
-            if table.shape[1] != len(fields):
-                raise ValueError("wrong width")
-            table = table[:, :keep]
-            if not np.isfinite(table).all():
-                raise ValueError("non-finite value")
-            parts.append(table)
-    if not parts:
-        raise ValueError("no data rows")
-    return groups, np.concatenate(parts)
-
-
-def _float_table(path, parse_header):
-    """The reference grammar: float() on each line of str.splitlines.
-
-    Blank lines are skipped. Each data row must have as many fields as the
-    header, every converted field must parse with float(), and every value
-    must be finite. Rows are parsed a block at a time; a block that fails is
-    parsed again line by line, only to name the bad line.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first is None:
+def _parse_blocks(path, handle, parse_header):
+    """_read_table's result from an open file: the header, then block by block."""
+    # the header, and any lines after another break str.splitlines knows
+    header, *rest = handle.readline().splitlines(True) or [""]
+    if not header.strip():
+        if "".join(rest).strip() or any(block.strip() for block in _text_blocks(handle)):
+            raise CsvParseError(f"{path}: line 1: missing header")
         raise CsvParseError(f"{path}: empty file (missing header)")
-    if first != 0:
-        raise CsvParseError(f"{path}: line 1: missing header")
-    fields = [f.strip() for f in lines[0].split(",")]
+    fields = [f.strip() for f in header.split(",")]
     groups = parse_header(fields)
-    keep = sum(groups)
-    width = len(fields)
-    data = np.empty((len(lines) - 1, keep))
-    rows = 0
-    for start in range(1, len(lines), _BLOCK_ROWS):
-        block = [line for line in lines[start : start + _BLOCK_ROWS] if line.strip()]
-        if not block:
-            continue
-        try:
-            if set(map(str.count, block, repeat(","))) != {width - 1}:
-                raise ValueError("ragged row")
-            flat = ",".join(block).split(",")
-            columns = chain.from_iterable(flat[j::width] for j in range(keep))
-            parsed = np.fromiter(map(float, columns), float, keep * len(block))
-        except ValueError:
-            _raise_bad_line(path, lines, start, width, keep)
-        data[rows : rows + len(block)] = parsed.reshape(keep, len(block)).T
-        rows += len(block)
-    data = data[:rows]
+    width, keep = len(fields), sum(groups)
+    parts, line, non_finite = [], 1, None  # line: the number of the last line read
+    for block in chain(["".join(rest)], _text_blocks(handle)):
+        table = _loadtxt_block(block, width, keep)
+        if table is None:
+            lines = block.splitlines()
+            table, bad = _float_block(path, lines, line, width, keep)
+            non_finite = non_finite or bad
+            line += len(lines)
+        else:
+            line += block.count("\n")
+        parts.append(table)
+    data = np.concatenate(parts)
     if data.shape[0] == 0:
         raise CsvParseError(f"{path}: no data rows")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        numbers = [i + 1 for i, line in enumerate(lines) if line.strip()]
-        line_number = numbers[1 + int(np.argmin(finite))]
-        raise CsvParseError(f"{path}: line {line_number}: non-finite value")
+    if non_finite:
+        raise CsvParseError(f"{path}: line {non_finite}: non-finite value")
     return groups, data
 
 
-def _raise_bad_line(path, lines, start, width, keep):
-    """Raise the CsvParseError for the first malformed line of the block."""
-    for line_number, line in enumerate(lines[start : start + _BLOCK_ROWS], start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise CsvParseError(
-                f"{path}: line {line_number}: expected {width} fields, "
-                f"got {len(parts)}"
-            )
-        try:
-            list(map(float, parts[:keep]))
-        except ValueError as exc:
-            raise CsvParseError(f"{path}: line {line_number}: {exc}") from None
-    raise AssertionError("block parse failed on well-formed lines")
+def _loadtxt_block(block, width, keep):
+    r"""The rows np.loadtxt reads from a block, or None where float() might differ.
+
+    The text mode turns "\r\n" and a lone "\r" into "\n", the only break
+    loadtxt splits at, so a block without the other breaks str.splitlines
+    knows has the same lines. loadtxt strips a field's whitespace and
+    converts it with PyOS_string_to_double, the converter float() calls;
+    underscores and non-ASCII digits, which only float() takes, fail. A
+    block with a whitespace-only line before its last row, a ragged row, a
+    non-numeric column past the kept ones or a non-finite value is refused.
+    """
+    if any(c in block for c in _OUTSIDE_SUBSET):
+        return None
+    if block[-2:].isspace():  # whitespace-only lines at its end
+        block = block.rstrip()
+    if not block:
+        return np.empty((0, keep))
+    try:
+        table = np.loadtxt(io.StringIO(block), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != width or not np.isfinite(table[:, :keep]).all():
+        return None
+    return table[:, :keep]
+
+
+def _float_block(path, lines, line, width, keep):
+    """float() on each non-blank line of a block; line counts the lines before it.
+
+    Returns the rows and the number of the first line with a non-finite
+    value, or None. The rows are parsed at once; a block that fails is
+    scanned again line by line, only to raise the CsvParseError that names
+    its first malformed line.
+    """
+    rows = [text for text in lines if text.strip()]
+    if not rows:
+        return np.empty((0, keep)), None
+    try:
+        if set(map(str.count, rows, repeat(","))) != {width - 1}:
+            raise ValueError("ragged row")
+        flat = ",".join(rows).split(",")
+        columns = chain.from_iterable(flat[j::width] for j in range(keep))
+        parsed = np.fromiter(map(float, columns), float, keep * len(rows))
+    except ValueError:
+        for number, text in enumerate(lines, line + 1):
+            if not text.strip():
+                continue
+            fields = text.split(",")
+            if len(fields) != width:
+                raise CsvParseError(
+                    f"{path}: line {number}: expected {width} fields, got {len(fields)}"
+                ) from None
+            try:
+                list(map(float, fields[:keep]))
+            except ValueError as exc:
+                raise CsvParseError(f"{path}: line {number}: {exc}") from None
+        raise AssertionError("block parse failed on well-formed lines")
+    table = parsed.reshape(keep, len(rows)).T
+    finite = np.isfinite(table).all(axis=1)
+    if finite.all():
+        return table, None
+    numbers = [number for number, text in enumerate(lines, line + 1) if text.strip()]
+    return table, numbers[int(np.argmin(finite))]
 
 
 def read_csv(path) -> PointCloud:

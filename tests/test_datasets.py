@@ -1,5 +1,6 @@
 """Synthetic generators, CSV round trips, and grid resampling."""
 
+import io
 import math
 from unittest import mock
 
@@ -462,7 +463,7 @@ class TestCsvBlocks:
         assert_array_equal(bits(back.values), bits(cloud.values))
 
 
-def float_path_refused(path, parse_header):
+def float_path_refused(*args):
     raise AssertionError("read by the float() path")
 
 
@@ -499,7 +500,7 @@ class TestCsvReader:
             if whitespace_lines:
                 cloud = read_csv(path)
             else:
-                with mock.patch.object(datasets, "_float_table", float_path_refused):
+                with mock.patch.object(datasets, "_float_block", float_path_refused):
                     cloud = read_csv(path)
         expected = float_rows(text)
         assert_array_equal(expected, table)
@@ -526,7 +527,7 @@ class TestCsvReader:
                                 for j, f in enumerate(line.split(","))))
         path.write_bytes(("\r\n".join(out) + "\r\n\r\n \t\u00a0\r\n ").encode("utf-8"))
         assert path.stat().st_size > 2 * datasets._BLOCK_CHARS
-        with mock.patch.object(datasets, "_float_table", float_path_refused):
+        with mock.patch.object(datasets, "_float_block", float_path_refused):
             back = read_csv(path)
         assert_array_equal(bits(back.coords), bits(cloud.coords))
         assert_array_equal(bits(back.values), bits(cloud.values))
@@ -591,6 +592,19 @@ class TestCsvReader:
         path.write_bytes(b"x1,v1\n" + b"1,2\n" * 300_000 + b"\xff,3\n")
         with pytest.raises(UnicodeDecodeError, match="position 1200006: invalid start byte"):
             read_csv(path)
+        with pytest.raises(UnicodeDecodeError, match="position 1200006: invalid start byte"):
+            read_points(path, 1)
+
+    @pytest.mark.parametrize("first", ["a,b,c\n", "x1,v1\n0.5\n", "x1,v1\n1,nan\n", "\n"])
+    def test_undecodable_byte_wins_over_earlier_errors(self, tmp_path, first):
+        # a bad header, a ragged row, a non-finite value or a missing header
+        # in the first block, and an undecodable byte far past it
+        path = tmp_path / "u.csv"
+        path.write_bytes(first.encode() + b"1,2\n" * 300_000 + b"\xff,3\n")
+        with mock.patch.object(datasets, "_BLOCK_CHARS", 64):
+            with pytest.raises(UnicodeDecodeError) as info:
+                read_csv(path)
+        assert f"position {len(first) + 1_200_000}: invalid start byte" in str(info.value)
 
     def test_read_points_takes_non_numeric_columns_past_d(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -629,6 +643,77 @@ class TestCsvReader:
         with pytest.raises(CsvParseError) as info:
             read_csv(path)
         assert str(info.value) == f"{path}: line {at + 2}: {message}"
+
+    @staticmethod
+    def small_blocks(rows):
+        """The text blocks of 64 characters the reader cuts from the rows after the header."""
+        with mock.patch.object(datasets, "_BLOCK_CHARS", 64):
+            return list(datasets._text_blocks(io.StringIO("".join(r + "\n" for r in rows))))
+
+    def test_only_the_block_leaving_the_subset_goes_to_float(self, tmp_path):
+        rows = [f"{i:04}.5,{-i:03},1.25" for i in range(40)]  # 4 rows per block
+        # a whitespace-only line before a row, which loadtxt refuses
+        rows[9:9] = [" \t"]
+        blocks = self.small_blocks(rows)
+        assert len(blocks) > 4 and " \t\n0" in blocks[2] and all(
+            " \t\n" not in block for block in blocks[:2] + blocks[3:])
+        path = tmp_path / "late.csv"
+        text = "x1,x2,v1\n" + "".join(r + "\n" for r in rows)
+        path.write_text(text)
+        with mock.patch.object(datasets, "_BLOCK_CHARS", 64), mock.patch.object(
+            datasets, "_float_block", wraps=datasets._float_block
+        ) as parse:
+            cloud = read_csv(path)
+        assert parse.call_count == 1
+        assert parse.call_args.args[1] == blocks[2].splitlines()
+        assert_array_equal(bits(np.hstack([cloud.coords, cloud.values])), bits(float_rows(text)))
+
+    @pytest.mark.parametrize(
+        "header, read, error, message",
+        [("a,b,c", read_csv, CsvParseError, "line 1: header must be"),
+         ("x1,x2,x3,v1", lambda path: read_points(path, 2), ValueError, "has 3-dimensional"),
+         ("v1,x1,x2", lambda path: read_points(path, 2), CsvParseError, "header must start"),
+         (" ", read_csv, CsvParseError, "line 1: missing header")],
+    )
+    def test_header_error_parses_no_data_block(self, tmp_path, header, read, error, message):
+        path = tmp_path / "h.csv"
+        path.write_text(header + "\n" + "1,2,3,4\n" * 200)
+        refused = mock.Mock(side_effect=AssertionError("a data block was parsed"))
+        with mock.patch.object(datasets, "_BLOCK_CHARS", 64), mock.patch.object(
+            datasets, "_loadtxt_block", refused
+        ), mock.patch.object(datasets, "_float_block", refused), mock.patch.object(
+            datasets, "open", wraps=open, create=True
+        ) as opened:
+            with pytest.raises(error, match=message):
+                read(path)
+        assert opened.call_count == 1
+
+    @pytest.mark.parametrize(
+        "early, late, expected",
+        [
+            # non-finite in a block loadtxt refuses for it, ragged in block 3
+            ((2, "1,2,nan"), (30, "4,5"), "line 32: expected 3 fields, got 2"),
+            # non-finite beside a float()-only value, malformed block later
+            ((2, "1_0,inf,3"), (30, "4\f5,6"), "line 32: expected 3 fields, got 1"),
+            ((2, "1,-inf,3"), (30, "0x1p3,5,6"),
+             "line 32: could not convert string to float: '0x1p3'"),
+            # the first non-finite value is named, wherever the second is
+            ((2, "1,2,inf"), (30, "4,1e999,6"), "line 4: non-finite value"),
+            ((2, " \t"), (30, "4,nan,6"), "line 32: non-finite value"),
+        ],
+    )
+    def test_errors_across_blocks(self, tmp_path, early, late, expected):
+        rows = [f"{i / 7!r},{-i / 3!r},1" for i in range(40)]
+        for at, row in (early, late):
+            rows[at] = row
+        blocks = self.small_blocks(rows)
+        assert early[1] + "\n" in blocks[0] and late[1] + "\n" in "".join(blocks[2:])
+        path = tmp_path / "x.csv"
+        path.write_text("x1,x2,v1\n" + "".join(r + "\n" for r in rows))
+        with mock.patch.object(datasets, "_BLOCK_CHARS", 64):
+            with pytest.raises(CsvParseError) as info:
+                read_csv(path)
+        assert str(info.value) == f"{path}: {expected}"
 
 
 class TestResampleGrid:
