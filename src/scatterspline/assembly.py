@@ -10,6 +10,7 @@ both matrices. Solving is left to the solver module.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -108,19 +109,18 @@ class FitConfig:
     orders: tuple[int, ...] = (2,)
 
     def __post_init__(self):
-        if self.degree < 1:
+        degree = _whole(self.degree, "degree")
+        if degree < 1:
             raise ValueError("degree must be at least 1")
-        shape = tuple(int(nk) for nk in self.shape)
+        shape = tuple(_whole(nk, "control count") for nk in self.shape)
         if not shape:
             raise ValueError("control shape must have at least one dimension")
         for nk in shape:
-            if nk < self.degree + 1:
-                raise ValueError(
-                    f"control count {nk} too small for degree {self.degree}"
-                )
-        if not np.isfinite(self.threshold) or self.threshold < 0:
-            raise ValueError("threshold must be finite and >= 0")
-        orders = _penalty_orders(self.orders, self.degree, self.threshold)
+            if nk < degree + 1:
+                raise ValueError(f"control count {nk} too small for degree {degree}")
+        _check_threshold(self.threshold)
+        orders = _penalty_orders(self.orders, degree, self.threshold)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "orders", orders)
 
@@ -133,9 +133,26 @@ class FitConfig:
         return int(np.prod(self.shape))
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; ValueError naming it unless it is a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
+def _check_threshold(threshold) -> None:
+    """ValueError unless threshold is finite and >= 0."""
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError("threshold must be finite and >= 0")
+
+
 def _penalty_orders(orders, degree: int, threshold: float) -> tuple[int, ...]:
     """The orders sorted and deduplicated; ValueError if FitConfig rejects them."""
-    orders = tuple(sorted(set(int(o) for o in orders)))
+    orders = tuple(sorted(set(_whole(o, "penalty order") for o in orders)))
     if any(o not in (1, 2) for o in orders):
         raise ValueError("penalty orders must be a subset of {1, 2}")
     if not orders and threshold > 0:
@@ -228,8 +245,7 @@ def compute_lambdas(
     """
     if matrix.shape[1] != penalty.shape[1]:
         raise ValueError("collocation and penalty column counts differ")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    _check_threshold(threshold)
     s = np.asarray(matrix.sum(axis=0), dtype=float).ravel()
     s_tilde = np.asarray(abs(penalty).sum(axis=0), dtype=float).ravel()
     deficit = np.maximum(threshold - s, 0.0)

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 _MAXIMIZER_TOL = 1e-10
-# evaluation rows in flight at once, shared out among the worker threads;
-# bounds the (rows, (p+1)^d) basis weights and their sparse basis matrix
+# rows per evaluation block, one block per thread at a time; bounds the
+# (rows, (p+1)^d) basis weights and their sparse basis matrix
 _EVAL_BLOCK = 8192
 
 
@@ -625,27 +625,23 @@ def _basis_matrix(
     maximizer grid) and each grid axis of eval_model_grid are this matrix.
 
     Up to _EVAL_BLOCK rows, the weights and ranks become the CSR's data and
-    indices uncopied. More rows are built a block at a time, each block's
-    rows written into the preallocated data and indices, so one block's
-    tables are held at once. The index arrays are built in the dtype SciPy
-    would pick, so it neither scans nor copies them.
+    indices uncopied. More rows are built a block at a time, each block
+    written into its rows of preallocated (m, (p+1)^d) data and indices, so
+    one block's tables are held at once. The index arrays are built in the
+    dtype SciPy would pick, so it neither scans nor copies them.
     """
     m = len(params)
     local = math.prod(kv.degree + 1 for kv in knot_vectors)
     n_tot = math.prod(kv.n for kv in knot_vectors)
     index = _index_dtype(n_tot, m * local)
     if m <= _EVAL_BLOCK:
-        weights, cols = tensor_basis_rows(knot_vectors, params, delta)
-        data, indices = weights.ravel(), cols.ravel()
+        data, indices = tensor_basis_rows(knot_vectors, params, delta)
     else:
-        data, indices = np.empty(m * local), np.empty(m * local, dtype=index)
+        data, indices = np.empty((m, local)), np.empty((m, local), dtype=index)
         for start in range(0, m, _EVAL_BLOCK):
-            weights, cols = tensor_basis_rows(
-                knot_vectors, params[start : start + _EVAL_BLOCK], delta
-            )
-            block = slice(start * local, start * local + weights.size)
-            data[block] = weights.ravel()
-            indices[block] = cols.ravel()
+            rows = slice(start, start + _EVAL_BLOCK)
+            data[rows], indices[rows] = tensor_basis_rows(knot_vectors, params[rows], delta)
+    data, indices = data.ravel(), indices.ravel()
     indptr = np.arange(0, m * local + 1, local, dtype=index)
     return sparse.csr_matrix((data, indices, indptr), shape=(m, n_tot))
 
@@ -653,8 +649,8 @@ def _basis_matrix(
 def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
     """Evaluate at m parameter tuples, returned as (m, D_v).
 
-    Rows are evaluated in blocks, at most _EVAL_BLOCK rows at a time across
-    all threads, so memory stays bounded whatever m is. The result is the
+    Rows are evaluated in blocks of _EVAL_BLOCK rows, one block per thread
+    at a time, so memory stays bounded whatever m is. The result is the
     same, bit for bit, for any number of CPUs.
     """
     params = np.asarray(params, dtype=float)
@@ -666,29 +662,20 @@ def eval_model_many(model: SplineModel, params: np.ndarray) -> np.ndarray:
 def _eval_rows(model: SplineModel, params: np.ndarray, delta: tuple[int, ...]) -> np.ndarray:
     """The delta-partial of the model at every row of params, as (m, D_v).
 
-    Each block of rows is its _basis_matrix times the controls, so the
-    result equals build_collocation(params, knots) @ controls bit for bit.
-    SciPy's sparse-times-dense product sums each row in ascending column
-    order and calls no BLAS. Blocks run on one thread per available CPU and
-    write disjoint rows of the result, so the bits do not depend on the
-    number of CPUs or BLAS threads either.
+    Each block of _EVAL_BLOCK rows is its _basis_matrix times the controls,
+    so the result equals build_collocation(params, knots) @ controls bit for
+    bit. SciPy's sparse-times-dense product sums each row in ascending
+    column order and calls no BLAS. The blocks go to _map_parallel and write
+    disjoint rows of the result, so the bits do not depend on the number of
+    CPUs or BLAS threads either.
     """
     out = np.empty((params.shape[0], model.num_values))
-    workers = _worker_count()
-    rows = -(-_EVAL_BLOCK // workers)
-    starts = range(0, params.shape[0], rows)
 
-    def evaluate(first):
-        # every workers-th block, in one loop: a call per block frees all its
-        # arrays on return, and malloc hands that memory back to the system
-        # only to fault it in again for the next block (47 % slower on one
-        # core)
-        for start in starts[first::workers]:
-            block = slice(start, start + rows)
-            basis = _basis_matrix(model.knot_vectors, params[block], delta)
-            out[block] = basis @ model.controls
+    def evaluate(start):
+        rows = slice(start, start + _EVAL_BLOCK)
+        out[rows] = _basis_matrix(model.knot_vectors, params[rows], delta) @ model.controls
 
-    _map_parallel(evaluate, range(min(workers, len(starts))))
+    _map_parallel(evaluate, range(0, params.shape[0], _EVAL_BLOCK))
     return out
 
 

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .assembly import PointCloud, _penalty_orders
+from .assembly import PointCloud, _check_threshold, _penalty_orders
 from .bsplines import KnotVector, SplineModel, _sample_box, grid_points
 
 __all__ = [
@@ -471,8 +471,8 @@ def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
     reporting can reassemble the penalty for the same configuration. Settings
     load_model would refuse raise ValueError before the file is opened.
     """
-    if threshold is not None and not 0.0 <= float(threshold) < math.inf:
-        raise ValueError("threshold must be finite and >= 0")
+    if threshold is not None:
+        _check_threshold(float(threshold))
     if orders is not None:
         _penalty_orders(orders, model.degree, float(threshold or 0.0))
 
@@ -559,8 +559,10 @@ def load_model(path):
     settings = {"threshold": None, "orders": None}
     if reader.peek_key() == "threshold":
         (settings["threshold"],) = reader.keyed("threshold", 1)
-        if not 0.0 <= settings["threshold"] < math.inf:
-            reader.fail("threshold must be finite and >= 0")
+        try:
+            _check_threshold(settings["threshold"])
+        except ValueError as exc:
+            reader.fail(str(exc))
     if reader.peek_key() == "orders":
         orders = reader.keyed("orders", None, int)
         try:

@@ -358,6 +358,13 @@ class TestComputeLambdas:
         assert lam[0] == 0.0
         assert lam[1] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_threshold_not_finite_and_nonnegative(self, threshold):
+        cloud = random_cloud(np.random.default_rng(22), 200)
+        system = assemble_system(cloud, FitConfig(degree=2, shape=(5, 5)))
+        with pytest.raises(ValueError, match=r"^threshold must be finite and >= 0$"):
+            compute_lambdas(system.collocation, system.penalty, threshold)
+
     def test_degenerate_column_warns(self):
         mat = sparse.csr_matrix(np.array([[1.0, 1.0]]))
         pen = sparse.csr_matrix(np.array([[3.0, 0.0]]))
@@ -551,3 +558,26 @@ class TestFitConfigValidation:
     def test_bad_order_value(self):
         with pytest.raises(ValueError):
             FitConfig(degree=3, shape=(4, 4), threshold=1.0, orders=(3,))
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("degree", 2.5, "degree"),
+            ("degree", "2", "degree"),
+            ("shape", (5.7, 5), "control count"),
+            ("shape", (5, np.nan), "control count"),
+            ("shape", (5, np.inf), "control count"),
+            ("orders", (2.5,), "penalty order"),
+            ("orders", (1, 2.000001), "penalty order"),
+        ],
+    )
+    def test_rejects_numbers_that_are_not_whole(self, field, value, name):
+        settings = {"degree": 2, "shape": (5, 5), "threshold": 1.0, "orders": (2,)}
+        settings[field] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got "):
+            FitConfig(**settings)
+
+    def test_whole_floats_and_numpy_integers_accepted(self):
+        config = FitConfig(np.int64(2), (5.0, np.int32(4)), 1.0, (np.int64(2), 1.0))
+        assert (config.degree, config.shape, config.orders) == (2, (5, 4), (1, 2))
+        assert all(type(v) is int for v in (config.degree, *config.shape, *config.orders))

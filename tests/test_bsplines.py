@@ -693,6 +693,26 @@ class TestParallelEvaluation:
         with pytest.raises(ValueError, match="outside"):
             eval_model_many(model, params)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_blocks_of_eval_block_rows_whatever_the_cpu_count(self, workers, monkeypatch):
+        rng = np.random.default_rng(61)
+        model = random_model(rng, (5, 5), 2)
+        params = rng.uniform(0.0, 1.0, (3 * _EVAL_BLOCK + 5, 2))
+        blocks = []  # (first row, row count) of every _basis_matrix call
+
+        def spy(kvs, rows, delta):
+            first = (rows.ctypes.data - params.ctypes.data) // params.strides[0]
+            blocks.append((first, len(rows)))
+            return _basis_matrix(kvs, rows, delta)
+
+        monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+        monkeypatch.setattr(bsplines, "_basis_matrix", spy)
+        for m in (0, 1, _EVAL_BLOCK, _EVAL_BLOCK + 1, len(params)):
+            blocks.clear()
+            bsplines._eval_rows(model, params[:m], (0, 0))
+            starts = range(0, m, _EVAL_BLOCK)
+            assert sorted(blocks) == [(s, min(_EVAL_BLOCK, m - s)) for s in starts]
+
     def test_map_runs_inline_on_one_cpu_and_keeps_item_order(self, monkeypatch):
         def where(item):
             return item, threading.get_ident()

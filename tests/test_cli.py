@@ -91,7 +91,8 @@ class TestModelFile:
          (0.5, (), "nonempty penalty order set"),
          (-1.0, (1,), "finite and >= 0"),
          (float("nan"), None, "finite and >= 0"),
-         (float("inf"), (1,), "finite and >= 0")],
+         (float("inf"), (1,), "finite and >= 0"),
+         (0.1, (1.5,), "penalty order must be a whole number, got 1.5")],
     )
     def test_save_refuses_settings_load_refuses(self, tmp_path, threshold, orders, message):
         kv = uniform_clamped_knots(4, 1)
