@@ -20,6 +20,7 @@ from scipy import sparse
 from .bsplines import (
     KnotVector,
     _basis_matrix,
+    _whole,
     dim_maximizers,
     grid_points,
     _unit_params,
@@ -131,17 +132,6 @@ class FitConfig:
     @property
     def n_tot(self) -> int:
         return int(np.prod(self.shape))
-
-
-def _whole(value, name: str) -> int:
-    """value as an int; ValueError naming it unless it is a whole number."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return whole
 
 
 def _check_threshold(threshold) -> None:

@@ -88,6 +88,17 @@ def owned_finite(x, name: str) -> np.ndarray:
     return arr
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; ValueError naming it unless it is a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, inf
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return whole
+
+
 def owned_box(bbox_min, bbox_max, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A bounding box as owned finite arrays, one min < max per dimension."""
     lo = owned_finite(bbox_min, "bbox_min")
@@ -443,7 +454,7 @@ class IndexSet:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        shape = tuple(int(nk) for nk in self.shape)
+        shape = tuple(_whole(nk, "index set size") for nk in self.shape)
         if not shape or any(nk < 1 for nk in shape):
             raise ValueError("index set needs at least one positive size per dimension")
         object.__setattr__(self, "shape", shape)
@@ -564,7 +575,8 @@ def eval_model_derivative(model: SplineModel, u, delta) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.shape != (model.d,) or len(delta) != model.d:
         raise ValueError(f"expected {model.d}-component parameter and order tuples")
-    return _eval_rows(model, u[None, :], tuple(int(o) for o in delta))[0]
+    delta = tuple(_whole(o, "derivative order") for o in delta)
+    return _eval_rows(model, u[None, :], delta)[0]
 
 
 def tensor_basis_rows(
@@ -588,7 +600,9 @@ def tensor_basis_rows(
     d = len(knot_vectors)
     if params.ndim != 2 or params.shape[1] != d:
         raise ValueError(f"expected (m, {d}) parameter array")
-    delta = (0,) * d if delta is None else tuple(int(o) for o in delta)
+    if delta is None:
+        delta = (0,) * d
+    delta = tuple(_whole(o, "derivative order") for o in delta)
     if len(delta) != d:
         raise ValueError(f"expected a {d}-component derivative order")
     m = params.shape[0]
@@ -714,7 +728,7 @@ def _sample_box(model: SplineModel, shape, lo, hi) -> tuple[list, np.ndarray]:
     endpoints included, and mapped back with to_coords. Returns the physical
     axes and the value array of shape (*shape, D_v).
     """
-    shape = tuple(int(g) for g in shape)
+    shape = tuple(_whole(g, "grid count") for g in shape)
     if len(shape) != model.d:
         raise ValueError(f"expected {model.d} grid counts")
     if any(g < 2 for g in shape):

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .assembly import PointCloud, _check_threshold, _penalty_orders
-from .bsplines import KnotVector, SplineModel, _sample_box, grid_points
+from .bsplines import KnotVector, SplineModel, _sample_box, _whole, grid_points
 
 __all__ = [
     "VoidSpec",
@@ -101,10 +101,14 @@ class SynthConfig:
     hole_radius: float | None = None
 
     def __post_init__(self):
-        if self.count < 1:
+        count = _whole(self.count, "point count")
+        if count < 1:
             raise ValueError("point count must be at least 1")
+        object.__setattr__(self, "count", count)
         if self.box is not None:
             box = tuple((float(lo), float(hi)) for lo, hi in self.box)
+            if not np.isfinite(box).all():
+                raise ValueError(f"box must be finite, got {box}")
             for lo, hi in box:
                 if not lo < hi:
                     raise ValueError("box must have min < max per dimension")
@@ -164,6 +168,9 @@ def generate_polysinc_cloud(cfg: SynthConfig) -> PointCloud:
     if len(box) != 2:
         raise ValueError("polysinc clouds are two-dimensional")
     voids = cfg.voids if cfg.voids is not None else default_polysinc_voids()
+    for void in voids:
+        if len(void.center) != 2:
+            raise ValueError(f"polysinc voids need a 2-D center, got {void}")
     lo, hi = _box_arrays(box)
     centers = np.array([v.center for v in voids], dtype=float).reshape(len(voids), 2)
     radii = np.array([v.radius for v in voids], dtype=float)

@@ -68,7 +68,7 @@ def _grid_counts(grid_shape, d):
         per_dim = 512 if d <= 2 else 64
         return (per_dim,) * d
     if np.isscalar(grid_shape):
-        return (int(grid_shape),) * d
+        return (grid_shape,) * d
     return grid_shape
 
 

@@ -1,19 +1,14 @@
 """Solvers and conditioning diagnostics for the assembled normal system.
 
 The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly.
-N^T N is built in row panels, one per CPU the process may run on, computed
-at the same time: rows lo..hi are N[:, lo:hi]^T N. Each entry is summed in
-ascending point order by SciPy's own product kernel, as in N.T @ N, so the
-matrix is the same bit for bit whatever the number of CPUs. The kernel
-writes into buffers sized from the band of N, in one pass: SciPy's product
-makes a second pass first, only to count the entries. The buffers of all
-calls in flight hold about nnz(N) entries together, however wide the band
-(see _gram). A is symmetric and, in
-lexicographic control order, banded with bandwidth p*(n_2*...*n_d) + ... + p,
-so one banded Cholesky factorization (LAPACK pbtrf through
-scipy.linalg.cholesky_banded) serves the direct solve of every value
-component at once and the condition estimate. Conjugate gradients runs only
-when the caller asks for it.
+N^T N is built in fixed blocks of 64 rows, as many at once as the process
+has CPUs, each entry summed in ascending point order by SciPy's own product
+kernel as in N.T @ N, so the matrix is the same bit for bit whatever the
+number of CPUs (see _gram). A is symmetric and, in lexicographic control
+order, banded with bandwidth p*(n_2*...*n_d) + ... + p, so one banded
+Cholesky factorization (LAPACK pbtrf through scipy.linalg.cholesky_banded)
+serves the direct solve of every value component at once and the condition
+estimate. Conjugate gradients runs only when the caller asks for it.
 
 A factorization is judged numerically singular when a leading minor is not
 positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
@@ -34,7 +29,7 @@ from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sparse_linalg
 
 from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
-from .bsplines import SplineModel, _index_dtype, _map_parallel, _worker_count
+from .bsplines import SplineModel, _index_dtype, _map_parallel, _whole
 
 __all__ = [
     "SolveOptions",
@@ -59,6 +54,8 @@ _LANCZOS_SEED = 0x5EED
 # is a diagnostic, and eigsh's default of machine precision costs extra
 # restarts without changing its leading digits
 _LANCZOS_TOL = 1e-6
+# rows of N^T N per call of the product kernel (see _gram)
+_GRAM_ROWS = 64
 
 
 class RankDeficientError(RuntimeError):
@@ -90,8 +87,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in ("direct", "cg"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.maxiter is not None and self.maxiter < 1:
-            raise ValueError("maxiter must be at least 1")
+        if self.maxiter is not None:
+            object.__setattr__(self, "maxiter", _whole(self.maxiter, "maxiter"))
+            if self.maxiter < 1:
+                raise ValueError("maxiter must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,34 +222,28 @@ def _rank_deficient(system: LinearSystem, what: str) -> RankDeficientError:
 
 
 def _gram(collocation) -> sparse.csr_matrix:
-    """N^T N in CSR with sorted indices, one row panel per CPU at once.
+    """N^T N in CSR with sorted indices, in fixed blocks of _GRAM_ROWS rows.
 
-    Rows lo..hi of the product are N[:, lo:hi]^T N. Each panel's transpose
-    is read from one CSC copy of N and multiplied by SciPy's own kernel
-    (csr_matmat, which releases the interpreter lock), so every entry is the
-    same sum, in ascending point order, as in (N.T @ N).tocsr(), bit for bit,
-    and zero sums are dropped as there.
+    Rows lo..lo + 64 of the product are N[:, lo:lo + 64]^T N. Each block's
+    transpose is read from one CSC copy of N and multiplied by SciPy's own
+    kernel (csr_matmat, which releases the interpreter lock), so every entry
+    is the same sum, in ascending point order, as in (N.T @ N).tocsr(), bit
+    for bit, and zero sums are dropped as there.
 
-    SciPy's product first counts the output entries in a separate pass over
-    the same triples (csr_matmat_maxnnz); here two bounds size the buffers
-    instead. Row i of the product gets one entry per distinct column j that
-    shares a stored row of N with column i. So it gets at most 2 bw + 1,
-    since |i - j| <= bw, the widest column span (max stored column - min
-    stored column) of any row of N. And it gets no more than the products
-    summed into it: the rows of N that store column i times their length, at
-    most the longest row (all rows of a collocation matrix store (p + 1)^d
-    entries). The band bound rules where points are dense, the product
-    bound where they are few. Each panel calls the kernel on as many rows at
-    a time as fit in its share of nnz(N) slots (at least one row) and keeps
-    only the entries written, so the buffers in use at once hold about as
-    many entries as N itself, however wide the band.
+    SciPy's product first counts the output entries in a separate pass
+    (csr_matmat_maxnnz); here one bound sizes the buffers instead. Row i of
+    the product gets one entry per column j that shares a stored row of N
+    with column i, so |i - j| <= bw, the widest column span of any row of N,
+    and each row gets min(n, 2 bw + 1) slots. The buffers in flight hold at
+    most one block per CPU. A call costs about 0.1 ms beyond its work, so
+    16-row blocks are slower, and 128-row ones split a 400-row product
+    unevenly between two threads.
     """
     m, n = collocation.shape
     by_row = collocation.tocsr()
     by_column = collocation.tocsc()
     nnz = int(by_row.indptr[-1])
-    row_sizes = np.diff(by_row.indptr)
-    row_starts = by_row.indptr[:-1][row_sizes > 0]
+    row_starts = by_row.indptr[:-1][np.diff(by_row.indptr) > 0]
     bandwidth = 0
     if row_starts.size:  # reduceat over the stored rows only: empty ones have no span
         stored = by_row.indices[:nnz]
@@ -258,26 +251,20 @@ def _gram(collocation) -> sparse.csr_matrix:
             stored, row_starts
         )
         bandwidth = int(spans.max())
-    longest = int(row_sizes.max(initial=0))
-    products = np.diff(by_column.indptr).astype(np.int64) * longest
-    slots = np.minimum(products, min(n, 2 * bandwidth + 1))  # per row of the product
-    ends = np.concatenate(([0], np.cumsum(slots)))  # row i: ends[i]..ends[i + 1]
-    bounds = np.linspace(0, n, min(_worker_count(), n) + 1).astype(int)
-    share = nnz // max(bounds.size - 1, 1)
-    capacity = max(share, int(slots.max(initial=0)))
+    width = min(n, 2 * bandwidth + 1)  # slots per row of the product
     # the kernel takes every index array in one dtype
-    index = _index_dtype(m, n, nnz, capacity)
+    index = _index_dtype(m, n, nnz, _GRAM_ROWS * width)
     row_ptr, row_idx, col_ptr, col_idx = (
         a.astype(index, copy=False)
         for a in (by_row.indptr, by_row.indices, by_column.indptr, by_column.indices)
     )
-    dtype = by_row.data.dtype
 
-    def rows(lo, hi):
+    def rows(lo):
+        hi = min(lo + _GRAM_ROWS, n)
         start, stop = col_ptr[lo], col_ptr[hi]
         indptr = np.empty(hi - lo + 1, dtype=index)
-        indices = np.empty(ends[hi] - ends[lo], dtype=index)
-        data = np.empty(ends[hi] - ends[lo], dtype=dtype)
+        indices = np.empty((hi - lo) * width, dtype=index)
+        data = np.empty((hi - lo) * width, dtype=by_row.data.dtype)
         # N[:, lo:hi]^T as CSR on views of the CSC arrays, times N
         _sparsetools.csr_matmat(
             hi - lo, n,
@@ -295,21 +282,10 @@ def _gram(collocation) -> sparse.csr_matrix:
         product.sort_indices()
         return product
 
-    def panel(span):
-        lo, hi = span
-        blocks = []
-        while lo < hi:
-            # as many rows as fit in the share, and at least one
-            stop = int(np.searchsorted(ends, ends[lo] + share, side="right")) - 1
-            stop = min(max(stop, lo + 1), hi)
-            blocks.append(rows(lo, stop))
-            lo = stop
-        return blocks
-
-    panels = _map_parallel(panel, zip(bounds[:-1], bounds[1:]))
+    blocks = _map_parallel(rows, range(0, n, _GRAM_ROWS))
     # before stacking, so the peak stays at one copy of N
     del by_column, col_ptr, col_idx
-    return sparse.vstack([block for blocks in panels for block in blocks], format="csr")
+    return sparse.vstack(blocks, format="csr")
 
 
 def _cg(matrix, b, maxiter):
@@ -359,6 +335,8 @@ def condition_number(matrix, mode: str = "estimate") -> float:
     rows, cols = matrix.shape
     if rows == 0 or cols == 0:
         raise ValueError("empty matrix")
+    if not np.isfinite(matrix.data).all():
+        raise ValueError("matrix must be finite")
     if mode == "exact":
         if min(rows, cols) > _EXACT_COLUMN_LIMIT:
             raise ValueError(

@@ -15,6 +15,9 @@ from scipy.optimize import brentq
 
 from scatterspline import bsplines
 from scatterspline.assembly import build_collocation
+from scatterspline.datasets import SynthConfig, resample_grid
+from scatterspline.metrics import pointwise_errors
+from scatterspline.solver import SolveOptions
 from scatterspline.bsplines import (
     _EVAL_BLOCK,
     _basis_matrix,
@@ -875,3 +878,63 @@ class TestModelDerivatives:
             - eval_model_derivative(model, (u[0] - h, u[1]), (0, 1))
         ) / (2 * h)
         np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# whole-number counts and orders
+# ---------------------------------------------------------------------------
+
+WHOLE_PARAMS = np.full((3, 2), 0.4)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        pytest.param(
+            lambda m: tensor_basis_rows(m.knot_vectors, WHOLE_PARAMS, (1.5, 0)),
+            "derivative order", 1.5, id="tensor_basis_rows",
+        ),
+        pytest.param(
+            lambda m: eval_model_derivative(m, (0.4, 0.6), (1, 1.5)),
+            "derivative order", 1.5, id="eval_model_derivative",
+        ),
+        pytest.param(lambda m: IndexSet((2.5, 3)), "index set size", 2.5, id="IndexSet"),
+        pytest.param(
+            lambda m: resample_grid(m, (3.7, 4)), "grid count", 3.7, id="resample_grid"
+        ),
+        pytest.param(
+            lambda m: pointwise_errors(m, lambda c: np.zeros(len(c)), grid_shape=2.5),
+            "grid count", 2.5, id="pointwise_errors",
+        ),
+        pytest.param(
+            lambda m: SolveOptions(method="cg", maxiter=2.5), "maxiter", 2.5,
+            id="SolveOptions",
+        ),
+        pytest.param(
+            lambda m: SynthConfig(count=2.5, seed=1), "point count", 2.5, id="SynthConfig"
+        ),
+    ],
+)
+def test_fraction_where_a_whole_number_belongs_is_rejected(call, name, value):
+    model = random_model(np.random.default_rng(11), (5, 4), 2)
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value}$"):
+        call(model)
+
+
+def test_whole_floats_and_numpy_integers_give_the_same_results():
+    model = random_model(np.random.default_rng(12), (5, 4), 2)
+    params = np.random.default_rng(13).uniform(0.0, 1.0, (20, 2))
+    zeros = lambda coords: np.zeros(len(coords))  # noqa: E731
+    for got, want in (
+        (tensor_basis_rows(model.knot_vectors, params, (1.0, np.int64(0))),
+         tensor_basis_rows(model.knot_vectors, params, (1, 0))),
+        (eval_model_derivative(model, (0.3, 0.8), (np.int32(1), 1.0)),
+         eval_model_derivative(model, (0.3, 0.8), (1, 1))),
+        (resample_grid(model, (3.0, np.int64(4)))[1], resample_grid(model, (3, 4))[1]),
+        (pointwise_errors(model, zeros, grid_shape=np.int64(3)).max_error,
+         pointwise_errors(model, zeros, grid_shape=3).max_error),
+    ):
+        np.testing.assert_array_equal(got, want)
+    assert IndexSet((2.0, np.int64(3))).shape == (2, 3)
+    assert type(SolveOptions(method="cg", maxiter=3.0).maxiter) is int
+    assert type(SynthConfig(count=np.int64(3), seed=1).count) is int

@@ -91,6 +91,17 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="box"):
             SynthConfig(count=10, seed=1, box=((1.0, 0.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_box(self, bad):
+        with pytest.raises(ValueError, match="^box must be finite, got "):
+            SynthConfig(count=10, seed=1, box=((0.0, 1.0), (bad, 1.0)))
+
+    @pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 0.0)])
+    def test_polysinc_void_needs_a_2d_center(self, center):
+        config = SynthConfig(count=10, seed=1, voids=(VoidSpec(center, 1.0, 0.5),))
+        with pytest.raises(ValueError, match="^polysinc voids need a 2-D center, got VoidSpec"):
+            generate_polysinc_cloud(config)
+
     def test_rejects_negative_hole(self):
         with pytest.raises(ValueError, match="hole"):
             SynthConfig(count=10, seed=1, hole_radius=-1.0)

@@ -403,14 +403,25 @@ def sorted_product(left, right):
     return product
 
 
-def assert_gram_matches(matrix, expected, workers):
-    """solver._gram(matrix) on `workers` panels equals `expected` bit for bit,
-    and every kernel call's buffers hold at least the entry count that
-    SciPy's own counting pass (csr_matmat_maxnnz) finds for its rows.
+def band_slots(matrix):
+    """min(n, 2 bw + 1), bw the widest column span of a stored row of matrix."""
+    csr = sparse.csr_matrix(matrix)
+    rows = np.split(csr.indices, csr.indptr[1:-1])
+    bw = max((int(np.ptp(row)) for row in rows if row.size), default=0)
+    return min(csr.shape[1], 2 * bw + 1)
 
-    Returns (rows, buffer slots) of each kernel call."""
+
+def assert_gram_matches(matrix, expected, workers):
+    """solver._gram(matrix) with `workers` CPUs equals `expected` bit for bit.
+
+    The kernel is called once per 64-row block from range(0, n, 64), in one
+    _map_parallel call, whatever the CPU count; each call's buffers hold
+    rows x min(n, 2 bw + 1) slots, at least the entry count that SciPy's own
+    counting pass (csr_matmat_maxnnz) finds for its rows.
+
+    Returns (rows, buffer slots) of each kernel call, in the order they ran."""
     kernel = solver._sparsetools
-    calls = []
+    calls, mapped = [], []
 
     class Counting:
         @staticmethod
@@ -421,13 +432,20 @@ def assert_gram_matches(matrix, expected, workers):
             assert cj.size == cx.size >= needed
             kernel.csr_matmat(n_row, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx)
 
+    def recording_map(func, items):
+        mapped.append(list(items))
+        return bsplines._map_parallel(func, mapped[-1])
+
     with pytest.MonkeyPatch.context() as patch:
-        for module in (bsplines, solver):
-            patch.setattr(module, "_worker_count", lambda: workers)
+        patch.setattr(bsplines, "_worker_count", lambda: workers)
         patch.setattr(solver, "_sparsetools", Counting)
+        patch.setattr(solver, "_map_parallel", recording_map)
         gram = solver._gram(matrix)
-    assert len(calls) >= min(workers, expected.shape[0])
-    assert sum(rows for rows, _ in calls) == expected.shape[0]
+    n = expected.shape[0]
+    assert mapped == [list(range(0, n, 64))]
+    blocks = [min(64, n - lo) for lo in range(0, n, 64)]
+    # threads may finish the blocks in any order
+    assert sorted(calls) == sorted((rows, rows * band_slots(matrix)) for rows in blocks)
     assert gram.shape == expected.shape
     assert gram.has_sorted_indices
     np.testing.assert_array_equal(gram.indptr, expected.indptr)
@@ -467,7 +485,7 @@ def gram_inputs(draw):
 class TestGramPanels:
     @pytest.mark.parametrize("shape", [(7,), (5, 7), (5, 4, 6)])
     def test_equals_scipy_product_for_any_cpu_count(self, shape):
-        # n_tot 7, 35 and 120 split into panels of unequal width
+        # n_tot 7, 35 and 120: one block, one block, and 64 + 56 rows
         rng = np.random.default_rng(sum(shape))
         knots = tuple(uniform_clamped_knots(nk, 3) for nk in shape)
         collocation = build_collocation(rng.uniform(0.0, 1.0, (500, len(shape))), knots)
@@ -493,6 +511,7 @@ class TestGramPanels:
             unsorted_csr(rng, 30, 1, 0.5),  # a single column
             sparse.csr_matrix((20, 6)),  # no stored entry
             zeros,  # only explicit zeros
+            banded_csr(rng, 2000, 129, 8, 20),  # blocks of 64, 64 and 1 rows
         )
         cases = [(matrix, sorted_product(matrix.T, matrix)) for matrix in inputs]
         cases.append((wide.T, sorted_product(wide, wide.T)))
@@ -507,21 +526,17 @@ class TestGramPanels:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_kernel_buffers_stay_within_budget(self, workers):
-        # 40 points, but one stores columns 0 and 2999: buffers sized from
-        # the band alone would take 3000 slots for each of 3000 rows, where
-        # the product sums at most nnz(N) * (longest row) products, and the
-        # kernel is called more than once per panel to keep within the share
+        # 40 points, but one stores columns 0 and 2999: every call's buffers
+        # take 64 rows x 3000 slots, so the calls in flight hold at most
+        # workers x 192,000 slots against the 9 million of the whole band
         rng = np.random.default_rng(workers)
         few = banded_csr(rng, 40, 3000, 5, 2999)
         # 20,000 points on 400 columns with bandwidth 60: every row of the
         # product sums ~450 products but holds at most 121 entries
         many = banded_csr(rng, 20_000, 400, 10, 60)
-        for matrix, total in ((few, few.nnz * 3), (many, 400 * 121)):
+        for matrix, width in ((few, 3000), (many, 121)):
             calls = assert_gram_matches(matrix, sorted_product(matrix.T, matrix), workers)
-            assert sum(slots for _, slots in calls) <= total
-            assert matrix is many or len(calls) > workers
-            # each call of more than one row fits in its panel's share of nnz(N)
-            assert all(slots <= matrix.nnz // workers for rows, slots in calls if rows > 1)
+            assert all(slots == rows * width for rows, slots in calls)
 
 
 class TestResiduals:
@@ -547,6 +562,14 @@ class TestResiduals:
 
 
 class TestConditionNumber:
+    @pytest.mark.parametrize("mode", ["estimate", "exact"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_an_input_error(self, mode, bad):
+        dense = np.random.default_rng(111).standard_normal((30, 10))
+        dense[7, 4] = bad
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            condition_number(sparse.csr_matrix(dense), mode=mode)
+
     def test_orthonormal_columns(self):
         eye = sparse.eye(40, format="csr")
         assert condition_number(eye, mode="exact") == pytest.approx(1.0)
