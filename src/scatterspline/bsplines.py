@@ -156,8 +156,10 @@ def uniform_clamped_knots(n: int, p: int) -> KnotVector:
     Raises
     ------
     ValueError
-        If n < p + 1 (not enough basis functions for the degree).
+        If n or p is not a whole number, or n < p + 1 (not enough basis
+        functions for the degree).
     """
+    n, p = _whole(n, "basis count"), _whole(p, "degree")
     if p < 0:
         raise ValueError("degree must be nonnegative")
     if n < p + 1:

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .assembly import FitConfig, PointCloud, assemble_system
+from .assembly import FitConfig, PointCloud, _by_knot_cell, assemble_system
 from .bsplines import SplineModel, eval_model_many
 from .datasets import (
     CsvParseError,
@@ -168,7 +168,7 @@ def _cmd_fit(args) -> int:
         threshold=args.threshold,
         orders=args.orders,
     )
-    system = assemble_system(cloud, config)
+    system = assemble_system(_by_knot_cell(cloud, config), config)
     controls, report = solve(system)
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
     save_model(args.out, model, threshold=config.threshold, orders=config.orders)

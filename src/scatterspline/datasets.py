@@ -105,6 +105,7 @@ class SynthConfig:
         if count < 1:
             raise ValueError("point count must be at least 1")
         object.__setattr__(self, "count", count)
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if self.box is not None:
             box = tuple((float(lo), float(hi)) for lo, hi in self.box)
             if not np.isfinite(box).all():

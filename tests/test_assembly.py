@@ -10,6 +10,7 @@ from scipy import sparse
 from scatterspline.assembly import (
     FitConfig,
     PointCloud,
+    _by_knot_cell,
     assemble_system,
     build_collocation,
     build_knots,
@@ -28,6 +29,7 @@ from scatterspline.bsplines import (
     _basis_matrix,
     basis_derivative_single,
     basis_maximizer,
+    find_span,
     lex_unrank,
     uniform_clamped_knots,
 )
@@ -532,6 +534,57 @@ class TestAssembleSystem:
             system.penalty_col_sums == 0.0
         )
         assert np.array_equal(zero, expected)
+
+
+def indexed_cloud(rng, config, m):
+    """A cloud on [-1, 2]^d whose value column 0 is each point's index.
+
+    A quarter of the coordinates sit on knots, the box ends included, so
+    cells share points and points lie on cell borders."""
+    d = config.d
+    params = rng.uniform(0.0, 1.0, (m, d))
+    for k, kv in enumerate(build_knots(config)):
+        on_knot = rng.random(m) < 0.25
+        params[on_knot, k] = rng.choice(np.unique(kv.knots), on_knot.sum())
+    coords = -1.0 + 3.0 * params
+    values = np.column_stack([np.arange(m, dtype=float), rng.standard_normal(m)])
+    return PointCloud(coords, values, -np.ones(d), 2.0 * np.ones(d))
+
+
+class TestKnotCellOrder:
+    @pytest.mark.parametrize(
+        "degree, shape", [(3, (7,)), (2, (5, 6)), (3, (4, 6, 5))], ids=["1d", "2d", "3d"]
+    )
+    def test_stable_permutation_in_cell_order(self, degree, shape):
+        config = FitConfig(degree, shape)
+        cloud = indexed_cloud(np.random.default_rng(len(shape)), config, 400)
+        ordered = _by_knot_cell(cloud, config)
+        index = ordered.values[:, 0].astype(int)
+        np.testing.assert_array_equal(np.sort(index), np.arange(cloud.m))
+        np.testing.assert_array_equal(ordered.coords, cloud.coords[index])
+        np.testing.assert_array_equal(ordered.values, cloud.values[index])
+        np.testing.assert_array_equal(ordered.bbox_min, cloud.bbox_min)
+        np.testing.assert_array_equal(ordered.bbox_max, cloud.bbox_max)
+        # each point's cell by the scalar span search, raveled like the controls
+        params = parameterize(ordered)
+        spans = [
+            [find_span(kv, u) for u in params[:, k]]
+            for k, kv in enumerate(build_knots(config))
+        ]
+        cell = np.ravel_multi_index(spans, shape)
+        steps = np.diff(cell)
+        assert np.all(steps >= 0)
+        assert np.all(np.diff(index)[steps == 0] > 0)
+        assert np.count_nonzero(steps == 0) > 0 and np.count_nonzero(steps) > 0
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)])
+    def test_dimension_mismatch_raises_the_assembly_error(self, shape):
+        cloud = random_cloud(np.random.default_rng(37), 10)
+        config = FitConfig(degree=2, shape=shape)
+        message = f"^cloud dimension 2 != configured dimension {len(shape)}$"
+        for call in (_by_knot_cell, assemble_system):
+            with pytest.raises(ValueError, match=message):
+                call(cloud, config)
 
 
 class TestFitConfigValidation:

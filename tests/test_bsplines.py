@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 from scatterspline import bsplines
 from scatterspline.assembly import build_collocation
-from scatterspline.datasets import SynthConfig, resample_grid
+from scatterspline.datasets import SynthConfig, generate_polysinc_cloud, resample_grid
 from scatterspline.metrics import pointwise_errors
 from scatterspline.solver import SolveOptions
 from scatterspline.bsplines import (
@@ -913,12 +913,35 @@ WHOLE_PARAMS = np.full((3, 2), 0.4)
         pytest.param(
             lambda m: SynthConfig(count=2.5, seed=1), "point count", 2.5, id="SynthConfig"
         ),
+        pytest.param(
+            lambda m: SynthConfig(count=5, seed=2.5), "seed", 2.5, id="SynthConfig-seed"
+        ),
+        pytest.param(
+            lambda m: uniform_clamped_knots(5.5, 2), "basis count", 5.5,
+            id="uniform_clamped_knots-count",
+        ),
+        pytest.param(
+            lambda m: uniform_clamped_knots(5, 2.5), "degree", 2.5,
+            id="uniform_clamped_knots-degree",
+        ),
     ],
 )
 def test_fraction_where_a_whole_number_belongs_is_rejected(call, name, value):
     model = random_model(np.random.default_rng(11), (5, 4), 2)
     with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value}$"):
         call(model)
+
+
+def test_whole_knot_counts_and_seeds_give_the_same_results():
+    for got in (uniform_clamped_knots(6.0, np.int64(2)), uniform_clamped_knots(np.int32(6), 2.0)):
+        np.testing.assert_array_equal(got.knots, uniform_clamped_knots(6, 2).knots)
+        assert type(got.degree) is int
+    config = SynthConfig(count=40, seed=np.int64(3.0))
+    assert type(config.seed) is int
+    np.testing.assert_array_equal(
+        generate_polysinc_cloud(config).coords,
+        generate_polysinc_cloud(SynthConfig(count=40, seed=3)).coords,
+    )
 
 
 def test_whole_floats_and_numpy_integers_give_the_same_results():

@@ -30,7 +30,7 @@ from scatterspline import (
 from scatterspline import cli, datasets
 from scatterspline.cli import ModelFileError, load_model, main, save_model
 from scatterspline.datasets import grid_to_cloud
-from scatterspline.solver import FitReport
+from scatterspline.solver import FitReport, fit_cloud
 
 
 def random_model(seed=0, n=8, p=3, box=((-2.0, 3.0), (1.0, 4.0))):
@@ -452,6 +452,34 @@ class TestFit:
             ]
         )
         assert code == 2
+
+    def test_fit_equals_library_fit(self, tmp_path):
+        # both sort the points by knot cell before assembly
+        data = tmp_path / "d.csv"
+        main(["synth", "--kind", "polysinc", "--count", "3000", "--seed", "8",
+              "--out", str(data)])
+        out, rep = tmp_path / "m.model", tmp_path / "r.csv"
+        code = main(["fit", "--input", str(data), "--degree", "3", "--ctrl", "12,10",
+                     "--threshold", "1", "--out", str(out), "--report", str(rep)])
+        assert code == 0
+        model, report = fit_cloud(read_csv(data), FitConfig(3, (12, 10), threshold=1.0))
+        assert_array_equal(load_model(out)[0].controls, model.controls)
+        rows = dict(line.split(",") for line in rep.read_text().splitlines()[1:])
+        assert float(rows["data_residual_1"]) == report.data_residual_norms[0]
+        assert float(rows["cond_stacked"]) == report.cond_stacked
+
+    @pytest.mark.parametrize("ctrl", ["6", "5,5,5"])
+    def test_dimension_mismatch_names_both_dimensions(self, tmp_path, capsys, ctrl):
+        # the assembly's check, before the points are sorted by knot cell
+        data = tmp_path / "d.csv"
+        spline_csv(data)
+        code = main(["fit", "--input", str(data), "--degree", "2", "--ctrl", ctrl,
+                     "--out", str(tmp_path / "m.model")])
+        assert code == 2
+        d = len(ctrl.split(","))
+        err = capsys.readouterr().err
+        assert err == f"error: cloud dimension 2 != configured dimension {d}\n"
+        assert not (tmp_path / "m.model").exists()
 
     def test_non_finite_input_is_io_error(self, tmp_path, capsys):
         # a nan value and an inf coordinate, each on line 5 of the file

@@ -12,6 +12,7 @@ from scatterspline import bsplines, solver
 from scatterspline.assembly import (
     FitConfig,
     PointCloud,
+    _by_knot_cell,
     assemble_system,
     build_collocation,
 )
@@ -80,6 +81,51 @@ def corner_void_cloud(rng, m=400):
     coords = np.array(pts[:m])
     values = np.sin(3 * coords[:, 0]) + coords[:, 1]
     return PointCloud(coords, values, np.zeros(2), np.ones(2))
+
+
+def void_cloud(rng, d, m):
+    """Two value columns on [0, 1]^d, no point in the corner cube [0.6, 1]^d."""
+    coords = rng.uniform(0.0, 1.0, (3 * m, d))
+    coords = coords[~np.all(coords > 0.6, axis=1)][:m]
+    values = np.column_stack([np.sin(3.0 * coords.sum(axis=1)), coords[:, 0] ** 2])
+    return PointCloud(coords, values, np.zeros(d), np.ones(d))
+
+
+KNOT_CELL_FITS = [
+    pytest.param(FitConfig(3, (9,), threshold=4.0, orders=(1, 2)), id="1d"),
+    pytest.param(FitConfig(3, (7, 6), threshold=3.0), id="2d"),
+    pytest.param(FitConfig(2, (5, 4, 5), threshold=2.0, orders=(1, 2)), id="3d"),
+]
+
+
+class TestKnotCellOrder:
+    @pytest.mark.parametrize("config", KNOT_CELL_FITS)
+    def test_fit_solves_the_sorted_system(self, config):
+        cloud = void_cloud(np.random.default_rng(40 + config.d), config.d, 600)
+        model, report = fit_cloud(cloud, config)
+        ordered = assemble_system(_by_knot_cell(cloud, config), config)
+        controls, ordered_report = solve(ordered)
+        np.testing.assert_array_equal(model.controls, controls)
+        np.testing.assert_array_equal(report.residual_norms, ordered_report.residual_norms)
+        np.testing.assert_array_equal(model.bbox_min, cloud.bbox_min)
+        np.testing.assert_array_equal(model.bbox_max, cloud.bbox_max)
+
+        # the same fit assembled in the cloud's order, up to summation order
+        given = assemble_system(cloud, config)
+        given_controls, _ = solve(given)
+        scale = np.abs(given_controls).max()
+        assert np.abs(controls - given_controls).max() <= 1e-10 * scale
+        np.testing.assert_allclose(ordered.data_col_sums, given.data_col_sums, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ordered.lambdas, given.lambdas, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ordered.lambdas > 0, given.lambdas > 0)
+        assert 0 < np.count_nonzero(given.lambdas) < config.n_tot
+
+    def test_dimension_mismatch_raises_the_assembly_error(self):
+        cloud = void_cloud(np.random.default_rng(44), 2, 50)
+        for shape in ((6,), (4, 4, 4)):
+            message = f"^cloud dimension 2 != configured dimension {len(shape)}$"
+            with pytest.raises(ValueError, match=message):
+                fit_cloud(cloud, FitConfig(degree=2, shape=shape))
 
 
 class TestRecovery:
@@ -518,6 +564,14 @@ class TestGramPanels:
         for matrix, expected in cases:
             for workers in (1, 2, 3, 4):
                 assert_gram_matches(matrix, expected, workers)
+
+    @pytest.mark.parametrize("config", KNOT_CELL_FITS)
+    def test_knot_cell_order_equals_scipy_product(self, config):
+        cloud = void_cloud(np.random.default_rng(50 + config.d), config.d, 3000)
+        matrix = assemble_system(_by_knot_cell(cloud, config), config).collocation
+        expected = sorted_product(matrix.T, matrix)
+        for workers in (1, 2, 3, 4):
+            assert_gram_matches(matrix, expected, workers)
 
     @given(gram_inputs(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
