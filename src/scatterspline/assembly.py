@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -20,7 +20,6 @@ from scipy import sparse
 from .bsplines import (
     KnotVector,
     _basis_matrix,
-    _spans,
     _whole,
     dim_maximizers,
     grid_points,
@@ -151,34 +150,6 @@ def _penalty_orders(orders, degree: int, threshold: float) -> tuple[int, ...]:
     if orders and max(orders) > degree:
         raise ValueError(f"penalty order {max(orders)} exceeds degree {degree}")
     return orders
-
-
-def _check_dimension(cloud: PointCloud, config: FitConfig) -> None:
-    """ValueError unless the cloud has the config's dimension."""
-    if cloud.d != config.d:
-        raise ValueError(
-            f"cloud dimension {cloud.d} != configured dimension {config.d}"
-        )
-
-
-def _by_knot_cell(cloud: PointCloud, config: FitConfig) -> PointCloud:
-    """The cloud with its points stably sorted by the knot cell they lie in.
-
-    Cells are ranked by their raveled index, sum_k span_k * stride_k with the
-    controls' strides: the lexicographic order of the controls. Points in one
-    cell keep their order, and the bounding box stays the cloud's own. The
-    rows of N that share a column are then near each other, so the product
-    kernel of N^T N reads nearby memory.
-    """
-    _check_dimension(cloud, config)
-    params = parameterize(cloud)
-    cell = np.zeros(cloud.m, dtype=np.intp)
-    for k, kv in enumerate(build_knots(config)):
-        cell = cell * kv.n + _spans(kv, params[:, k])
-    order = np.argsort(cell, kind="stable")
-    return PointCloud(
-        cloud.coords[order], cloud.values[order], cloud.bbox_min, cloud.bbox_max
-    )
 
 
 def parameterize(cloud: PointCloud) -> np.ndarray:
@@ -318,9 +289,13 @@ def assemble_system(cloud: PointCloud, config: FitConfig) -> LinearSystem:
 
     With threshold 0 all lambdas are exactly zero and the system the solver
     forms from these blocks is the plain (unregularized) normal system.
-    The rows of N are the points in the cloud's order.
+    The rows of N are the points in the cloud's order, and rhs and the
+    column sums are summed in it; fit_cloud solves these very weights.
     """
-    _check_dimension(cloud, config)
+    if cloud.d != config.d:
+        raise ValueError(
+            f"cloud dimension {cloud.d} != configured dimension {config.d}"
+        )
     params = parameterize(cloud)
     knots = build_knots(config)
     collocation = build_collocation(params, knots)
@@ -351,3 +326,18 @@ def assemble_system(cloud: PointCloud, config: FitConfig) -> LinearSystem:
         maximizer_axes=maximizer_axes,
         degenerate_cols=degenerate,
     )
+
+
+def _by_knot_cell(system: LinearSystem) -> LinearSystem:
+    """The system with the rows of N and the values stably sorted by knot cell.
+
+    A row's first stored column is the first control its knot cell touches,
+    so the cells come in the controls' lexicographic order, and rows that
+    share a column lie near each other for the N^T N kernel. Every other
+    field keeps its cloud-order bits. Sorting in solve, whose caller still
+    holds N, would hold a second N; callers pass assemble_system's result
+    unnamed, so the unsorted N is freed before solve copies the sorted one.
+    """
+    n = system.collocation
+    order = np.argsort(n.indices[n.indptr[:-1]], kind="stable")
+    return replace(system, collocation=n[order], values=system.values[order])

@@ -168,7 +168,7 @@ def _cmd_fit(args) -> int:
         threshold=args.threshold,
         orders=args.orders,
     )
-    system = assemble_system(_by_knot_cell(cloud, config), config)
+    system = _by_knot_cell(assemble_system(cloud, config))
     controls, report = solve(system)
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
     save_model(args.out, model, threshold=config.threshold, orders=config.orders)

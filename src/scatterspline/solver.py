@@ -4,10 +4,10 @@ The normal matrix A = N^T N + (M Lambda)^T (M Lambda) is formed explicitly.
 N^T N is built in fixed blocks of 64 rows, as many at once as the process
 has CPUs, each entry summed in ascending row order of N by SciPy's own
 product kernel as in N.T @ N, so the matrix is the same bit for bit whatever
-the number of CPUs (see _gram). fit_cloud sorts the points by knot cell, the
-controls' own order, before assemble_system, which keeps the order it is
-given: rows of N that share a column then lie near each other, and the
-kernel reads nearby memory. A is symmetric and, in lexicographic control
+the number of CPUs (see _gram). fit_cloud sorts the rows of the assembled N
+by knot cell (assembly._by_knot_cell), so rows that share a column lie near
+each other and the kernel reads nearby memory; the weights, column sums and
+rhs keep the cloud's order. A is symmetric and, in lexicographic control
 order, banded with bandwidth p*(n_2*...*n_d) + ... + p, so one banded
 Cholesky factorization (LAPACK pbtrf through scipy.linalg.cholesky_banded)
 serves the direct solve of every value component at once and the condition
@@ -315,12 +315,12 @@ def fit_cloud(
 ) -> tuple[SplineModel, FitReport]:
     """Assemble and solve in one step, returning the fitted model.
 
-    The points are assembled sorted by knot cell (assembly._by_knot_cell),
-    not in the cloud's order, so N^T N is formed from nearby memory. rhs, the
-    column sums and the residual norms are summed in that order, and may
-    differ in their last bits from assemble_system(cloud) and solve.
+    The assembled rows of N are sorted by knot cell (assembly._by_knot_cell),
+    so N^T N reads nearby memory. The lambdas, column sums and rhs are
+    assemble_system(cloud)'s bit for bit; only N^T N and the residual norms
+    are summed in another order, so the controls may differ in their last bits.
     """
-    system = assemble_system(_by_knot_cell(cloud, config), config)
+    system = _by_knot_cell(assemble_system(cloud, config))
     controls, report = solve(system, opts)
     model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
     return model, report

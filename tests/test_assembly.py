@@ -558,15 +558,20 @@ class TestKnotCellOrder:
     def test_stable_permutation_in_cell_order(self, degree, shape):
         config = FitConfig(degree, shape)
         cloud = indexed_cloud(np.random.default_rng(len(shape)), config, 400)
-        ordered = _by_knot_cell(cloud, config)
+        given = assemble_system(cloud, config)
+        ordered = _by_knot_cell(given)
         index = ordered.values[:, 0].astype(int)
         np.testing.assert_array_equal(np.sort(index), np.arange(cloud.m))
-        np.testing.assert_array_equal(ordered.coords, cloud.coords[index])
         np.testing.assert_array_equal(ordered.values, cloud.values[index])
-        np.testing.assert_array_equal(ordered.bbox_min, cloud.bbox_min)
-        np.testing.assert_array_equal(ordered.bbox_max, cloud.bbox_max)
-        # each point's cell by the scalar span search, raveled like the controls
-        params = parameterize(ordered)
+        n, expected = ordered.collocation, given.collocation[index]
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(n, name), getattr(expected, name))
+        # every other field is the given system's, summed in the cloud's order
+        for name in ("penalty", "lambdas", "data_col_sums", "penalty_col_sums", "rhs",
+                     "knots", "config", "deltas", "maximizer_axes", "degenerate_cols"):
+            assert getattr(ordered, name) is getattr(given, name)
+        # each row's cell by the scalar span search, raveled like the controls
+        params = parameterize(cloud)[index]
         spans = [
             [find_span(kv, u) for u in params[:, k]]
             for k, kv in enumerate(build_knots(config))
@@ -582,9 +587,8 @@ class TestKnotCellOrder:
         cloud = random_cloud(np.random.default_rng(37), 10)
         config = FitConfig(degree=2, shape=shape)
         message = f"^cloud dimension 2 != configured dimension {len(shape)}$"
-        for call in (_by_knot_cell, assemble_system):
-            with pytest.raises(ValueError, match=message):
-                call(cloud, config)
+        with pytest.raises(ValueError, match=message):
+            assemble_system(cloud, config)
 
 
 class TestFitConfigValidation:

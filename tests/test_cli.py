@@ -829,6 +829,26 @@ class TestReport:
         assert_array_equal(exported[:, 2], system.data_col_sums)
         assert (exported[:, 4] > 0).any()
 
+    def test_fit_report_weights_match_the_lambda_export(self, tmp_path):
+        # 500 points on 8x8 cubic controls below threshold 40: summed in
+        # another order than the export's, the largest weight would differ
+        # in its last bit
+        data, model_path = tmp_path / "c.csv", tmp_path / "m.model"
+        fit_path, lam_path = tmp_path / "fit.csv", tmp_path / "lam.csv"
+        main(["synth", "--kind", "polysinc", "--count", "500", "--seed", "6",
+              "--out", str(data)])
+        assert main(["fit", "--input", str(data), "--degree", "3", "--ctrl", "8,8",
+                     "--threshold", "40", "--out", str(model_path),
+                     "--report", str(fit_path)]) == 0
+        assert main(["report", "--model", str(model_path), "--reference", str(data),
+                     "--lambda-out", str(lam_path)]) == 0
+        rows = dict(line.split(",") for line in fit_path.read_text().splitlines()[1:])
+        lines = lam_path.read_text().splitlines()
+        assert lines[0].endswith(",lambda")
+        lam = np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
+        assert float(rows["lambda_max"]) == lam.max()
+        assert int(rows["lambda_positive"]) == np.count_nonzero(lam > 0)
+
     def test_lambda_export_needs_cloud_reference(self, tmp_path, capsys):
         model_path, data = self._fitted(tmp_path)
         capsys.readouterr()  # drop the fit's own line

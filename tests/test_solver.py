@@ -103,22 +103,37 @@ class TestKnotCellOrder:
     def test_fit_solves_the_sorted_system(self, config):
         cloud = void_cloud(np.random.default_rng(40 + config.d), config.d, 600)
         model, report = fit_cloud(cloud, config)
-        ordered = assemble_system(_by_knot_cell(cloud, config), config)
+        ordered = _by_knot_cell(assemble_system(cloud, config))
         controls, ordered_report = solve(ordered)
         np.testing.assert_array_equal(model.controls, controls)
         np.testing.assert_array_equal(report.residual_norms, ordered_report.residual_norms)
         np.testing.assert_array_equal(model.bbox_min, cloud.bbox_min)
         np.testing.assert_array_equal(model.bbox_max, cloud.bbox_max)
 
-        # the same fit assembled in the cloud's order, up to summation order
+        # the same fit assembled in the cloud's order: only N^T N and the
+        # residual norms are summed in another order
         given = assemble_system(cloud, config)
         given_controls, _ = solve(given)
         scale = np.abs(given_controls).max()
         assert np.abs(controls - given_controls).max() <= 1e-10 * scale
-        np.testing.assert_allclose(ordered.data_col_sums, given.data_col_sums, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ordered.lambdas, given.lambdas, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(ordered.lambdas > 0, given.lambdas > 0)
+        np.testing.assert_array_equal(ordered.data_col_sums, given.data_col_sums)
+        np.testing.assert_array_equal(ordered.lambdas, given.lambdas)
         assert 0 < np.count_nonzero(given.lambdas) < config.n_tot
+
+    @pytest.mark.parametrize("config", KNOT_CELL_FITS)
+    def test_fit_weights_are_the_cloud_order_assembly(self, config, monkeypatch):
+        cloud = void_cloud(np.random.default_rng(45 + config.d), config.d, 600)
+        solved = []
+
+        def record(system, opts=None):
+            solved.append(system)
+            return solve(system, opts)
+
+        monkeypatch.setattr(solver, "solve", record)
+        fit_cloud(cloud, config)
+        given = assemble_system(cloud, config)
+        for name in ("lambdas", "data_col_sums", "penalty_col_sums", "rhs"):
+            np.testing.assert_array_equal(getattr(solved[0], name), getattr(given, name))
 
     def test_dimension_mismatch_raises_the_assembly_error(self):
         cloud = void_cloud(np.random.default_rng(44), 2, 50)
@@ -568,7 +583,7 @@ class TestGramPanels:
     @pytest.mark.parametrize("config", KNOT_CELL_FITS)
     def test_knot_cell_order_equals_scipy_product(self, config):
         cloud = void_cloud(np.random.default_rng(50 + config.d), config.d, 3000)
-        matrix = assemble_system(_by_knot_cell(cloud, config), config).collocation
+        matrix = _by_knot_cell(assemble_system(cloud, config)).collocation
         expected = sorted_product(matrix.T, matrix)
         for workers in (1, 2, 3, 4):
             assert_gram_matches(matrix, expected, workers)
