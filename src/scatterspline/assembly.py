@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -62,12 +62,12 @@ class PointCloud:
     def __post_init__(self):
         coords = owned_finite(self.coords, "coords")
         values = owned_finite(self.values, "values")
-        if coords.ndim != 2:
-            raise ValueError("coords must be (m, d)")
+        if coords.ndim != 2 or coords.shape[1] == 0:
+            raise ValueError("coords must be (m, d) with d >= 1")
         if values.ndim == 1:
             values = values.reshape(-1, 1)
-        if values.ndim != 2 or values.shape[0] != coords.shape[0]:
-            raise ValueError("values must be (m, D_v) matching coords")
+        if values.ndim != 2 or values.shape[0] != coords.shape[0] or values.shape[1] == 0:
+            raise ValueError("values must be (m, D_v) matching coords, with D_v >= 1")
         if coords.shape[0] < 1:
             raise ValueError("need at least one point")
         lo = coords.min(axis=0) if self.bbox_min is None else self.bbox_min
@@ -327,17 +327,3 @@ def assemble_system(cloud: PointCloud, config: FitConfig) -> LinearSystem:
         degenerate_cols=degenerate,
     )
 
-
-def _by_knot_cell(system: LinearSystem) -> LinearSystem:
-    """The system with the rows of N and the values stably sorted by knot cell.
-
-    A row's first stored column is the first control its knot cell touches,
-    so the cells come in the controls' lexicographic order, and rows that
-    share a column lie near each other for the N^T N kernel. Every other
-    field keeps its cloud-order bits. Sorting in solve, whose caller still
-    holds N, would hold a second N; callers pass assemble_system's result
-    unnamed, so the unsorted N is freed before solve copies the sorted one.
-    """
-    n = system.collocation
-    order = np.argsort(n.indices[n.indptr[:-1]], kind="stable")
-    return replace(system, collocation=n[order], values=system.values[order])

@@ -514,8 +514,8 @@ class SplineModel:
         if len(degrees) != 1:
             raise ValueError("all knot vectors must share one degree")
         controls = owned_finite(self.controls, "controls")
-        if controls.ndim != 2:
-            raise ValueError("controls must be (n_tot, D_v)")
+        if controls.ndim != 2 or controls.shape[1] == 0:
+            raise ValueError("controls must be (n_tot, D_v) with D_v >= 1")
         n_tot = int(np.prod([kv.n for kv in kvs]))
         if controls.shape[0] != n_tot:
             raise ValueError(

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .assembly import FitConfig, PointCloud, _by_knot_cell, assemble_system
-from .bsplines import SplineModel, eval_model_many
+from .assembly import FitConfig, PointCloud, assemble_system
+from .bsplines import eval_model_many
 from .datasets import (
     CsvParseError,
     ModelFileError,
@@ -36,7 +36,7 @@ from .datasets import (
     write_table,
 )
 from .metrics import RegionOfInterest, lambda_field, pointwise_errors
-from .solver import RankDeficientError, solve
+from .solver import RankDeficientError, fit_cloud
 
 __all__ = ["main", "save_model", "load_model", "ModelFileError"]
 
@@ -144,7 +144,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _report_rows(report, threshold, lambdas):
+def _report_rows(report, threshold):
     rows = [
         ("method", report.method),
         ("iterations", report.iterations),
@@ -152,8 +152,8 @@ def _report_rows(report, threshold, lambdas):
         ("cond_stacked", report.cond_stacked),
         ("cond_data", report.cond_data),
         ("threshold", threshold),
-        ("lambda_positive", int(np.count_nonzero(lambdas > 0))),
-        ("lambda_max", lambdas.max(initial=0.0)),
+        ("lambda_positive", int(np.count_nonzero(report.lambdas > 0))),
+        ("lambda_max", report.lambdas.max(initial=0.0)),
     ]
     rows += [(f"data_residual_{k + 1}", v) for k, v in enumerate(report.data_residual_norms)]
     rows += [(f"stacked_residual_{k + 1}", v) for k, v in enumerate(report.residual_norms)]
@@ -168,13 +168,10 @@ def _cmd_fit(args) -> int:
         threshold=args.threshold,
         orders=args.orders,
     )
-    system = _by_knot_cell(assemble_system(cloud, config))
-    controls, report = solve(system)
-    model = SplineModel(system.knots, controls, cloud.bbox_min, cloud.bbox_max)
+    model, report = fit_cloud(cloud, config)
     save_model(args.out, model, threshold=config.threshold, orders=config.orders)
     if args.report:
-        rows = _report_rows(report, args.threshold, system.lambdas)
-        write_key_values(args.report, rows)
+        write_key_values(args.report, _report_rows(report, args.threshold))
     residual = float(np.max(report.data_residual_norms))
     print(
         f"fit {cloud.coords.shape[0]} points with {config.n_tot} controls, "
@@ -218,6 +215,16 @@ def _cmd_report(args) -> int:
     else:
         cloud = read_csv(args.reference)
         reference = cloud
+        # the weights are assembled on the cloud's own box: the fitted cloud
+        # has the model's, since save_model writes it bit for bit
+        if args.lambda_out and not (
+            np.array_equal(cloud.bbox_min, model.bbox_min)
+            and np.array_equal(cloud.bbox_max, model.bbox_max)
+        ):
+            raise ValueError(
+                "lambda export needs the fitted cloud as --reference: its "
+                "bounding box differs from the model's"
+            )
     stats = pointwise_errors(model, reference, roi=args.roi, grid_shape=args.grid)
     rows = [
         ("max_error", stats.max_error),
@@ -250,7 +257,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, RankDeficientError):
             return 3
-        return 4 if isinstance(exc, (CsvParseError, ModelFileError, OSError)) else 2
+        unreadable = (CsvParseError, ModelFileError, OSError, UnicodeDecodeError)
+        return 4 if isinstance(exc, unreadable) else 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ N^T N is built in fixed blocks of 64 rows, as many at once as the process
 has CPUs, each entry summed in ascending row order of N by SciPy's own
 product kernel as in N.T @ N, so the matrix is the same bit for bit whatever
 the number of CPUs (see _gram). fit_cloud sorts the rows of the assembled N
-by knot cell (assembly._by_knot_cell), so rows that share a column lie near
-each other and the kernel reads nearby memory; the weights, column sums and
-rhs keep the cloud's order. A is symmetric and, in lexicographic control
+by knot cell (_by_knot_cell), so rows that share a column lie near each
+other and the kernel reads nearby memory; the weights, column sums and rhs
+keep the cloud's order. A is symmetric and, in lexicographic control
 order, banded with bandwidth p*(n_2*...*n_d) + ... + p, so one banded
 Cholesky factorization (LAPACK pbtrf through scipy.linalg.cholesky_banded)
 serves the direct solve of every value component at once and the condition
@@ -24,20 +24,14 @@ matrix come from Lanczos (eigsh): lambda_max on the matrix itself and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sparse_linalg
 
-from .assembly import (
-    FitConfig,
-    LinearSystem,
-    PointCloud,
-    _by_knot_cell,
-    assemble_system,
-)
+from .assembly import FitConfig, LinearSystem, PointCloud, assemble_system
 from .bsplines import SplineModel, _index_dtype, _map_parallel, _whole
 
 __all__ = [
@@ -113,7 +107,8 @@ class FitReport:
     matrices. rank_deficient is True when cond_stacked is math.inf and False
     when a banded Cholesky factor of the normal matrix passed its pivot check;
     it is None (not checked) after conjugate gradients without a condition
-    estimate, the one path that factors nothing.
+    estimate, the one path that factors nothing. lambdas is the system's own
+    array of smoothing weights, the ones the solve used.
     """
 
     residual_norms: np.ndarray
@@ -123,6 +118,7 @@ class FitReport:
     cond_data: float
     rank_deficient: bool | None
     method: str
+    lambdas: np.ndarray
 
 
 def _scaled_penalty(system: LinearSystem) -> sparse.csr_matrix | None:
@@ -217,6 +213,7 @@ def solve(
         cond_data=cond_data,
         rank_deficient=None if factor is None else math.isinf(cond_stacked),
         method=opts.method,
+        lambdas=system.lambdas,
     )
     return controls, report
 
@@ -297,6 +294,21 @@ def _gram(collocation) -> sparse.csr_matrix:
     return sparse.vstack(blocks, format="csr")
 
 
+def _by_knot_cell(system: LinearSystem) -> LinearSystem:
+    """The system with the rows of N and the values stably sorted by knot cell.
+
+    A row's first stored column is the first control its knot cell touches,
+    so the cells come in the controls' lexicographic order, and rows that
+    share a column lie near each other for the N^T N kernel. Every other
+    field keeps its cloud-order bits. Sorting in solve, whose caller still
+    holds N, would hold a second N; fit_cloud passes assemble_system's result
+    unnamed, so the unsorted N is freed before solve copies the sorted one.
+    """
+    n = system.collocation
+    order = np.argsort(n.indices[n.indptr[:-1]], kind="stable")
+    return replace(system, collocation=n[order], values=system.values[order])
+
+
 def _cg(matrix, b, maxiter):
     iterations = 0
 
@@ -315,10 +327,11 @@ def fit_cloud(
 ) -> tuple[SplineModel, FitReport]:
     """Assemble and solve in one step, returning the fitted model.
 
-    The assembled rows of N are sorted by knot cell (assembly._by_knot_cell),
-    so N^T N reads nearby memory. The lambdas, column sums and rhs are
-    assemble_system(cloud)'s bit for bit; only N^T N and the residual norms
-    are summed in another order, so the controls may differ in their last bits.
+    The assembled rows of N are sorted by knot cell (_by_knot_cell), so N^T N
+    reads nearby memory. The lambdas (report.lambdas), column sums and rhs
+    are assemble_system(cloud)'s bit for bit; only N^T N and the residual
+    norms are summed in another order, so the controls may differ in their
+    last bits.
     """
     system = _by_knot_cell(assemble_system(cloud, config))
     controls, report = solve(system, opts)

@@ -10,7 +10,6 @@ from scipy import sparse
 from scatterspline.assembly import (
     FitConfig,
     PointCloud,
-    _by_knot_cell,
     assemble_system,
     build_collocation,
     build_knots,
@@ -29,7 +28,6 @@ from scatterspline.bsplines import (
     _basis_matrix,
     basis_derivative_single,
     basis_maximizer,
-    find_span,
     lex_unrank,
     uniform_clamped_knots,
 )
@@ -110,6 +108,13 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 2)), np.zeros((0, 1)))
 
+
+    def test_zero_width_rejected(self):
+        # save_model and write_csv would write files their readers refuse
+        with pytest.raises(ValueError, match=r"^coords must be \(m, d\) with d >= 1$"):
+            PointCloud(np.zeros((3, 0)), np.zeros(3))
+        with pytest.raises(ValueError, match=r"^values must be \(m, D_v\) .*D_v >= 1$"):
+            PointCloud(np.eye(3, 2), np.zeros((3, 0)))
 
     def test_rejects_non_finite(self):
         coords = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
@@ -536,51 +541,8 @@ class TestAssembleSystem:
         assert np.array_equal(zero, expected)
 
 
-def indexed_cloud(rng, config, m):
-    """A cloud on [-1, 2]^d whose value column 0 is each point's index.
-
-    A quarter of the coordinates sit on knots, the box ends included, so
-    cells share points and points lie on cell borders."""
-    d = config.d
-    params = rng.uniform(0.0, 1.0, (m, d))
-    for k, kv in enumerate(build_knots(config)):
-        on_knot = rng.random(m) < 0.25
-        params[on_knot, k] = rng.choice(np.unique(kv.knots), on_knot.sum())
-    coords = -1.0 + 3.0 * params
-    values = np.column_stack([np.arange(m, dtype=float), rng.standard_normal(m)])
-    return PointCloud(coords, values, -np.ones(d), 2.0 * np.ones(d))
-
-
 class TestKnotCellOrder:
-    @pytest.mark.parametrize(
-        "degree, shape", [(3, (7,)), (2, (5, 6)), (3, (4, 6, 5))], ids=["1d", "2d", "3d"]
-    )
-    def test_stable_permutation_in_cell_order(self, degree, shape):
-        config = FitConfig(degree, shape)
-        cloud = indexed_cloud(np.random.default_rng(len(shape)), config, 400)
-        given = assemble_system(cloud, config)
-        ordered = _by_knot_cell(given)
-        index = ordered.values[:, 0].astype(int)
-        np.testing.assert_array_equal(np.sort(index), np.arange(cloud.m))
-        np.testing.assert_array_equal(ordered.values, cloud.values[index])
-        n, expected = ordered.collocation, given.collocation[index]
-        for name in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(n, name), getattr(expected, name))
-        # every other field is the given system's, summed in the cloud's order
-        for name in ("penalty", "lambdas", "data_col_sums", "penalty_col_sums", "rhs",
-                     "knots", "config", "deltas", "maximizer_axes", "degenerate_cols"):
-            assert getattr(ordered, name) is getattr(given, name)
-        # each row's cell by the scalar span search, raveled like the controls
-        params = parameterize(cloud)[index]
-        spans = [
-            [find_span(kv, u) for u in params[:, k]]
-            for k, kv in enumerate(build_knots(config))
-        ]
-        cell = np.ravel_multi_index(spans, shape)
-        steps = np.diff(cell)
-        assert np.all(steps >= 0)
-        assert np.all(np.diff(index)[steps == 0] > 0)
-        assert np.count_nonzero(steps == 0) > 0 and np.count_nonzero(steps) > 0
+    """Assembly keeps the cloud's order; the solver sorts by knot cell."""
 
     @pytest.mark.parametrize("shape", [(4,), (4, 4, 4)])
     def test_dimension_mismatch_raises_the_assembly_error(self, shape):

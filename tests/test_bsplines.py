@@ -806,6 +806,12 @@ class TestSplineModelInput:
         with pytest.raises(ValueError, match="bbox_max must be finite"):
             SplineModel(model.knot_vectors, model.controls, [0.0, 0.0], [1.0, np.inf])
 
+    def test_zero_width_controls_rejected(self):
+        # save_model would write a file load_model refuses
+        kvs = (uniform_clamped_knots(4, 2),) * 2
+        with pytest.raises(ValueError, match=r"^controls must be \(n_tot, D_v\) with D_v >= 1$"):
+            SplineModel(kvs, np.zeros((16, 0)), np.zeros(2), np.ones(2))
+
     def test_caller_arrays_stay_writable(self):
         rng = np.random.default_rng(8)
         kvs = (uniform_clamped_knots(4, 2),) * 2

@@ -380,8 +380,9 @@ class TestFit:
             cond_data=math.inf,
             rank_deficient=True,
             method="cg",
+            lambdas=np.array([0.0, 0.25, 1e-300]),
         )
-        rows = cli._report_rows(report, 0.1, np.array([0.0, 0.25, 1e-300]))
+        rows = cli._report_rows(report, 0.1)
         assert datasets.format_key_values(rows) == (
             "method,cg\niterations,17\nrank_deficient,1\ncond_stacked,inf\n"
             "cond_data,inf\nthreshold,0.10000000000000001\nlambda_positive,2\n"
@@ -864,6 +865,25 @@ class TestReport:
         assert not (tmp_path / "r.csv").exists()
         assert not (tmp_path / "lam.csv").exists()
 
+    def test_lambda_export_needs_the_fitted_cloud(self, tmp_path, capsys):
+        # the weights of another cloud, assembled on its own box, are not the
+        # model's: refused before any metric is printed or written
+        model_path, data = self._fitted(tmp_path)
+        cloud, other = read_csv(data), tmp_path / "other.csv"
+        capsys.readouterr()  # drop the fit's own line
+        left = cloud.coords[:, 0] < 2.0  # a part of the fitted cloud, on a smaller box
+        write_csv(PointCloud(cloud.coords[left], cloud.values[left]), other)
+        code = main(["report", "--model", str(model_path), "--reference", str(other),
+                     "--out", str(tmp_path / "r.csv"),
+                     "--lambda-out", str(tmp_path / "lam.csv")])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2
+        assert captured.out == ""
+        assert len(err) == 1 and "bounding box differs from the model's" in err[0]
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "lam.csv").exists()
+
     def test_lambda_export_needs_recorded_settings(self, tmp_path, capsys):
         model = random_model()
         model_path = tmp_path / "bare.model"
@@ -1035,6 +1055,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flag", ["fit --input", "eval --points", "eval --model", "report --reference"]
+    )
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys, flag):
+        model_path, bad_model = tmp_path / "m.model", tmp_path / "bad.model"
+        save_model(model_path, random_model())
+        text = model_path.read_bytes()
+        assert b"\nbbox_max 3 4\n" in text
+        bad_model.write_bytes(text.replace(b"\nbbox_max 3 4\n", b"\nbbox_max \xff 4\n"))
+        bad_csv, out = tmp_path / "bad.csv", tmp_path / "o.csv"
+        bad_csv.write_bytes(b"x1,x2,v1\n0.1,0.2,\xff\n")
+        argv = {
+            "fit --input": ["fit", "--input", bad_csv, "--degree", "3", "--ctrl", "8,8",
+                            "--out", out],
+            "eval --points": ["eval", "--model", model_path, "--points", bad_csv,
+                              "--out", out],
+            "eval --model": ["eval", "--model", bad_model, "--grid", "4,4", "--out", out],
+            "report --reference": ["report", "--model", model_path, "--reference",
+                                   bad_csv, "--out", out],
+        }[flag]
+        assert main([str(arg) for arg in argv]) == 4
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and "can't decode byte 0xff" in err[0]
+        assert not out.exists()
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -12,13 +12,15 @@ from scatterspline import bsplines, solver
 from scatterspline.assembly import (
     FitConfig,
     PointCloud,
-    _by_knot_cell,
     assemble_system,
     build_collocation,
+    build_knots,
+    parameterize,
 )
 from scatterspline.bsplines import (
     SplineModel,
     eval_model_many,
+    find_span,
     uniform_clamped_knots,
 )
 from scatterspline.datasets import SynthConfig, VoidSpec, generate_polysinc_cloud
@@ -27,6 +29,7 @@ from scatterspline.solver import (
     RankDeficientError,
     SolveOptions,
     _band_cholesky,
+    _by_knot_cell,
     condition_number,
     fit_cloud,
     solve,
@@ -91,6 +94,21 @@ def void_cloud(rng, d, m):
     return PointCloud(coords, values, np.zeros(d), np.ones(d))
 
 
+def indexed_cloud(rng, config, m):
+    """A cloud on [-1, 2]^d whose value column 0 is each point's index.
+
+    A quarter of the coordinates sit on knots, the box ends included, so
+    cells share points and points lie on cell borders."""
+    d = config.d
+    params = rng.uniform(0.0, 1.0, (m, d))
+    for k, kv in enumerate(build_knots(config)):
+        on_knot = rng.random(m) < 0.25
+        params[on_knot, k] = rng.choice(np.unique(kv.knots), on_knot.sum())
+    coords = -1.0 + 3.0 * params
+    values = np.column_stack([np.arange(m, dtype=float), rng.standard_normal(m)])
+    return PointCloud(coords, values, -np.ones(d), 2.0 * np.ones(d))
+
+
 KNOT_CELL_FITS = [
     pytest.param(FitConfig(3, (9,), threshold=4.0, orders=(1, 2)), id="1d"),
     pytest.param(FitConfig(3, (7, 6), threshold=3.0), id="2d"),
@@ -99,6 +117,46 @@ KNOT_CELL_FITS = [
 
 
 class TestKnotCellOrder:
+    @pytest.mark.parametrize(
+        "degree, shape", [(3, (7,)), (2, (5, 6)), (3, (4, 6, 5))], ids=["1d", "2d", "3d"]
+    )
+    def test_stable_permutation_in_cell_order(self, degree, shape):
+        config = FitConfig(degree, shape)
+        cloud = indexed_cloud(np.random.default_rng(len(shape)), config, 400)
+        given = assemble_system(cloud, config)
+        ordered = _by_knot_cell(given)
+        index = ordered.values[:, 0].astype(int)
+        np.testing.assert_array_equal(np.sort(index), np.arange(cloud.m))
+        np.testing.assert_array_equal(ordered.values, cloud.values[index])
+        n, expected = ordered.collocation, given.collocation[index]
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(n, name), getattr(expected, name))
+        # every other field is the given system's, summed in the cloud's order
+        for name in ("penalty", "lambdas", "data_col_sums", "penalty_col_sums", "rhs",
+                     "knots", "config", "deltas", "maximizer_axes", "degenerate_cols"):
+            assert getattr(ordered, name) is getattr(given, name)
+        # each row's cell by the scalar span search, raveled like the controls
+        params = parameterize(cloud)[index]
+        spans = [
+            [find_span(kv, u) for u in params[:, k]]
+            for k, kv in enumerate(build_knots(config))
+        ]
+        cell = np.ravel_multi_index(spans, shape)
+        steps = np.diff(cell)
+        assert np.all(steps >= 0)
+        assert np.all(np.diff(index)[steps == 0] > 0)
+        assert np.count_nonzero(steps == 0) > 0 and np.count_nonzero(steps) > 0
+
+    @pytest.mark.parametrize("config", KNOT_CELL_FITS)
+    def test_report_carries_the_weights_it_solved_with(self, config):
+        cloud = void_cloud(np.random.default_rng(47 + config.d), config.d, 600)
+        system = assemble_system(cloud, config)
+        _, report = solve(system)
+        assert report.lambdas is system.lambdas
+        _, fitted = fit_cloud(cloud, config)
+        np.testing.assert_array_equal(fitted.lambdas, system.lambdas)
+        assert 0 < np.count_nonzero(fitted.lambdas) < config.n_tot
+
     @pytest.mark.parametrize("config", KNOT_CELL_FITS)
     def test_fit_solves_the_sorted_system(self, config):
         cloud = void_cloud(np.random.default_rng(40 + config.d), config.d, 600)
