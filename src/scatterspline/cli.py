@@ -40,6 +40,15 @@ from .solver import RankDeficientError, fit_cloud
 
 __all__ = ["main", "save_model", "load_model", "ModelFileError"]
 
+
+def _read(reader, path, *args):
+    """reader(path, *args), with a byte that is not UTF-8 reported under the path."""
+    try:
+        return reader(path, *args)
+    except UnicodeDecodeError as exc:  # its message has the offset, not the file
+        raise UnicodeError(f"{path}: {exc}") from exc
+
+
 def _int_tuple(text):
     try:
         return tuple(int(p) for p in text.split(","))
@@ -161,7 +170,7 @@ def _report_rows(report, threshold):
 
 
 def _cmd_fit(args) -> int:
-    cloud = read_csv(args.input)
+    cloud = _read(read_csv, args.input)
     config = FitConfig(
         degree=args.degree,
         shape=args.ctrl,
@@ -181,12 +190,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _ = load_model(args.model)
+    model, _ = _read(load_model, args.model)
     if args.grid is not None:
         axes, values = resample_grid(model, args.grid)
         cloud = grid_to_cloud(axes, values)
     else:
-        coords = read_points(args.points, model.d)
+        coords = _read(read_points, args.points, model.d)
         params = model.to_params(coords)
         if np.any(params < 0.0) or np.any(params > 1.0):
             raise ValueError("points fall outside the model's bounding box")
@@ -197,7 +206,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    model, settings = load_model(args.model)
+    model, settings = _read(load_model, args.model)
     if args.lambda_out:
         # refused before any metric is printed or written
         if args.reference == "polysinc":
@@ -213,7 +222,7 @@ def _cmd_report(args) -> int:
             return polysinc(coords[:, 0], coords[:, 1])
 
     else:
-        cloud = read_csv(args.reference)
+        cloud = _read(read_csv, args.reference)
         reference = cloud
         # the weights are assembled on the cloud's own box: the fitted cloud
         # has the model's, since save_model writes it bit for bit
@@ -257,7 +266,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, RankDeficientError):
             return 3
-        unreadable = (CsvParseError, ModelFileError, OSError, UnicodeDecodeError)
+        unreadable = (CsvParseError, ModelFileError, OSError, UnicodeError)
         return 4 if isinstance(exc, unreadable) else 2
 
 

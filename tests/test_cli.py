@@ -997,6 +997,15 @@ for argv in (
         sys.exit(argv)
 """
 
+_NARROW_BAND_FIT = """
+import numpy as np
+import scatterspline as ss
+coords = np.random.default_rng(5).uniform(0.0, 1.0, (60_000, 2))
+cloud = ss.PointCloud(coords, np.sin(6 * coords).sum(axis=1), [0.0, 0.0], [1.0, 1.0])
+_, report = ss.fit_cloud(cloud, ss.FitConfig(degree=3, shape=(1400, 8), threshold=5.0))
+print(repr(report.cond_stacked), repr(report.cond_data))
+"""
+
 
 class TestEntryPoint:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
@@ -1031,6 +1040,22 @@ class TestEntryPoint:
         )
         assert digests[0] == digests[1]
 
+    def test_narrow_band_condition_numbers_do_not_depend_on_blas_threads(self):
+        # 1400 x 8 cubic controls: band 27, below the 32 at which the band
+        # factor calls threaded level-3 BLAS, and 11200 controls, above the
+        # length at which OpenBLAS splits a dot product across threads
+        outputs = []
+        for threads in ("1", "2"):
+            env = module_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", _NARROW_BAND_FIT], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert all(math.isfinite(float(c)) for c in outputs[0].split())
+        assert outputs[0] == outputs[1]
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "c.csv"
         proc = subprocess.run(
@@ -1057,7 +1082,8 @@ class TestEntryPoint:
         assert "error:" in proc.stderr
 
     @pytest.mark.parametrize(
-        "flag", ["fit --input", "eval --points", "eval --model", "report --reference"]
+        "flag",
+        ["fit --input", "eval --points", "eval --model", "report --model", "report --reference"],
     )
     def test_undecodable_file_is_io_error(self, tmp_path, capsys, flag):
         model_path, bad_model = tmp_path / "m.model", tmp_path / "bad.model"
@@ -1073,6 +1099,8 @@ class TestEntryPoint:
             "eval --points": ["eval", "--model", model_path, "--points", bad_csv,
                               "--out", out],
             "eval --model": ["eval", "--model", bad_model, "--grid", "4,4", "--out", out],
+            "report --model": ["report", "--model", bad_model, "--reference", bad_csv,
+                               "--out", out],
             "report --reference": ["report", "--model", model_path, "--reference",
                                    bad_csv, "--out", out],
         }[flag]
@@ -1080,7 +1108,10 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and "can't decode byte 0xff" in err[0]
+        # report and eval each read two files: the message names the bad one
+        bad = bad_model if flag.endswith("--model") else bad_csv
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
         assert not out.exists()
 
     def test_no_command_is_usage_error(self, capsys):

@@ -30,6 +30,7 @@ from scatterspline.solver import (
     SolveOptions,
     _band_cholesky,
     _by_knot_cell,
+    _largest_eigenvalue,
     condition_number,
     fit_cloud,
     solve,
@@ -146,6 +147,22 @@ class TestKnotCellOrder:
         assert np.all(steps >= 0)
         assert np.all(np.diff(index)[steps == 0] > 0)
         assert np.count_nonzero(steps == 0) > 0 and np.count_nonzero(steps) > 0
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 5), (4, 4, 5)], ids=["1d", "2d", "3d"])
+    def test_order_is_the_stable_argsort_under_heavy_ties(self, shape):
+        # two knot cells per cloud, so thousands of rows share each first column
+        config = FitConfig(3, shape)
+        given = assemble_system(indexed_cloud(np.random.default_rng(60), config, 6000), config)
+        n = given.collocation
+        first = n.indices[n.indptr[:-1]]
+        assert np.unique(first, return_counts=True)[1].min() >= 1000
+        expected = np.argsort(first, kind="stable")
+        ordered = _by_knot_cell(given)
+        np.testing.assert_array_equal(ordered.values[:, 0], expected)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(
+                getattr(ordered.collocation, name), getattr(n[expected], name)
+            )
 
     @pytest.mark.parametrize("config", KNOT_CELL_FITS)
     def test_report_carries_the_weights_it_solved_with(self, config):
@@ -686,6 +703,59 @@ class TestResiduals:
             reg.data_residual_norms[0] >= plainels.data_residual_norms[0] - 1e-12
         )
         assert reg.residual_norms[0] >= reg.data_residual_norms[0] - 1e-15
+
+
+class TestLanczos:
+    def test_identity_is_exactly_one(self):
+        eye = sparse.eye(40, format="csr")
+        assert _largest_eigenvalue(eye.dot, 40) == 1.0
+        assert condition_number(eye, mode="estimate") == 1.0
+
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_one_and_two_columns(self, cols):
+        mat = sparse.csr_matrix(np.random.default_rng(cols).standard_normal((5, cols)))
+        exact = condition_number(mat, mode="exact")
+        assert condition_number(mat, mode="estimate") == pytest.approx(exact, rel=1e-12)
+
+    def test_ritz_value_never_above_lambda_max(self):
+        # K + 5 distinct eigenvalues: K steps cannot span every eigenvector
+        n = solver._LANCZOS_STEPS + 5
+        for seed in range(50):
+            diag = np.random.default_rng(seed).permutation(np.arange(1.0, n + 1))
+            estimate = _largest_eigenvalue(sparse.diags(diag).tocsr().dot, n)
+            assert 0.99 * n <= estimate <= n
+
+    def test_same_bits_on_every_call(self):
+        rng = np.random.default_rng(120)
+        mat = sparse.random(300, 80, density=0.1, random_state=3, data_rvs=rng.standard_normal)
+        mat = (mat + sparse.diags(np.full(80, 0.5), shape=(300, 80))).tocsr()
+        gram = (mat.T @ mat).tocsr()
+        assert _largest_eigenvalue(gram.dot, 80) == _largest_eigenvalue(gram.dot, 80)
+        assert condition_number(mat) == condition_number(mat)
+
+    def test_kuczynski_wozniakowski_bound(self):
+        # criterion 7's matrices; the relative error of each extremal
+        # eigenvalue is inside the bound that fails with probability 1e-3
+        rng = np.random.default_rng(0xACCE7)
+        steps = 2 * solver._LANCZOS_STEPS - 1
+        for i in range(20):
+            rows = int(rng.integers(40, 501))
+            cols = int(rng.integers(20, min(rows, 300) + 1))
+            mat = sparse.random(
+                rows, cols, density=float(rng.uniform(0.02, 0.15)),
+                random_state=np.random.RandomState(i), format="csr",
+            )
+            mat = mat + sparse.diags(np.full(cols, 0.5), shape=(rows, cols))
+            gram = (mat.T @ mat).tocsr()
+            dense = gram.toarray()
+            eigenvalues = np.linalg.eigvalsh(dense)
+            eps = (math.log(1.648 * math.sqrt(cols) / 1e-3) / steps) ** 2
+            for exact, estimate in (
+                (eigenvalues[-1], _largest_eigenvalue(gram.dot, cols)),
+                (1.0 / eigenvalues[0],
+                 _largest_eigenvalue(lambda x: np.linalg.solve(dense, x), cols)),
+            ):
+                assert -1e-12 <= (exact - estimate) / exact <= eps
 
 
 class TestConditionNumber:
