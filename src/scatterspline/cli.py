@@ -21,6 +21,7 @@ from .datasets import (
     ModelFileError,
     SynthConfig,
     VoidSpec,
+    coords_digest,
     format_key_values,
     generate_annulus_cloud,
     generate_polysinc_cloud,
@@ -178,7 +179,10 @@ def _cmd_fit(args) -> int:
         orders=args.orders,
     )
     model, report = fit_cloud(cloud, config)
-    save_model(args.out, model, threshold=config.threshold, orders=config.orders)
+    save_model(
+        args.out, model, threshold=config.threshold, orders=config.orders,
+        cloud_sha256=coords_digest(cloud.coords),
+    )
     if args.report:
         write_key_values(args.report, _report_rows(report, args.threshold))
     residual = float(np.max(report.data_residual_norms))
@@ -233,6 +237,12 @@ def _cmd_report(args) -> int:
             raise ValueError(
                 "lambda export needs the fitted cloud as --reference: its "
                 "bounding box differs from the model's"
+            )
+        digest = settings["cloud_sha256"]  # not recorded by older files
+        if args.lambda_out and digest not in (None, coords_digest(cloud.coords)):
+            raise ValueError(
+                "lambda export needs the fitted cloud as --reference: its "
+                "coordinates differ from the fitted cloud's"
             )
     stats = pointwise_errors(model, reference, roi=args.roi, grid_shape=args.grid)
     rows = [

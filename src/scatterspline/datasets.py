@@ -9,8 +9,10 @@ back bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -472,17 +474,35 @@ class ModelFileError(ValueError):
     """A model file that cannot be parsed or is internally inconsistent."""
 
 
-def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
+def coords_digest(coords) -> str:
+    """sha256, in hex, of a cloud's coordinates as float64 bytes in row order."""
+    return hashlib.sha256(np.ascontiguousarray(coords, dtype="<f8")).hexdigest()
+
+
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _check_digest(digest: str) -> str:
+    if not (isinstance(digest, str) and _DIGEST.fullmatch(digest)):
+        raise ValueError(f"cloud_sha256 must be 64 lowercase hex digits, got {digest!r}")
+    return digest
+
+
+def save_model(path, model: SplineModel, threshold=None, orders=None, cloud_sha256=None) -> None:
     """Write a model as versioned structured text with full-precision numbers.
 
     threshold and orders are optional fit settings carried along so later
-    reporting can reassemble the penalty for the same configuration. Settings
-    load_model would refuse raise ValueError before the file is opened.
+    reporting can reassemble the penalty for the same configuration, and
+    cloud_sha256 the coords_digest of the fitted cloud, so reporting can tell
+    that cloud from another on the same box. Settings load_model would refuse
+    raise ValueError before the file is opened.
     """
     if threshold is not None:
         _check_threshold(float(threshold))
     if orders is not None:
         _penalty_orders(orders, model.degree, float(threshold or 0.0))
+    if cloud_sha256 is not None:
+        _check_digest(cloud_sha256)
 
     def keyed(key, values):
         return key + " " + "".join(_format_rows([values], " "))
@@ -500,6 +520,8 @@ def save_model(path, model: SplineModel, threshold=None, orders=None) -> None:
         head.append(keyed("threshold", [float(threshold)]))
     if orders is not None:
         head.append("orders " + " ".join(str(int(o)) for o in orders) + "\n")
+    if cloud_sha256 is not None:
+        head.append(f"cloud_sha256 {cloud_sha256}\n")
     head += [keyed("knots", kv.knots) for kv in model.knot_vectors]
     head.append(f"controls {model.n_tot}\n")
     with open(path, "w", encoding="utf-8") as handle:
@@ -546,9 +568,10 @@ class _ModelReader:
 def load_model(path):
     """Read a saved model; returns (model, settings dict).
 
-    settings carries 'threshold' and 'orders' when the file recorded them,
-    else None, orders sorted and deduplicated. Raises ModelFileError on any
-    structural problem and on orders FitConfig rejects for the file.
+    settings carries 'threshold', 'orders' and 'cloud_sha256' when the file
+    recorded them, else None, orders sorted and deduplicated; save_model takes
+    them back as keywords. Raises ModelFileError on any structural problem
+    and on orders FitConfig rejects for the file.
     """
     reader = _ModelReader(path)
     head = reader.next_line("header")
@@ -564,7 +587,7 @@ def load_model(path):
     shape = reader.keyed("shape", d, int)
     bbox_min = reader.keyed("bbox_min", d)
     bbox_max = reader.keyed("bbox_max", d)
-    settings = {"threshold": None, "orders": None}
+    settings = {"threshold": None, "orders": None, "cloud_sha256": None}
     if reader.peek_key() == "threshold":
         (settings["threshold"],) = reader.keyed("threshold", 1)
         try:
@@ -575,6 +598,12 @@ def load_model(path):
         orders = reader.keyed("orders", None, int)
         try:
             settings["orders"] = _penalty_orders(orders, degree, settings["threshold"] or 0.0)
+        except ValueError as exc:
+            reader.fail(str(exc))
+    if reader.peek_key() == "cloud_sha256":
+        (digest,) = reader.keyed("cloud_sha256", 1, str)
+        try:
+            settings["cloud_sha256"] = _check_digest(digest)
         except ValueError as exc:
             reader.fail(str(exc))
     knot_vectors = []

@@ -9,9 +9,16 @@ by knot cell (_by_knot_cell), so rows that share a column lie near each
 other and the kernel reads nearby memory; the weights, column sums and rhs
 keep the cloud's order. A is symmetric and, in lexicographic control
 order, banded with bandwidth p*(n_2*...*n_d) + ... + p, so one banded
-Cholesky factorization (LAPACK pbtrf through scipy.linalg.cholesky_banded)
-serves the direct solve of every value component at once and the condition
-estimate. Conjugate gradients runs only when the caller asks for it.
+Cholesky factorization (LAPACK dpbtrf) serves the direct solve of every
+value component at once and the condition estimate. Conjugate gradients
+runs only when the caller asks for it.
+
+LAPACK is called through ctypes on the routines SciPy publishes in
+scipy.linalg.cython_lapack (_lapack): a ctypes call releases the interpreter
+lock, which SciPy's own LAPACK wrappers hold. So the factorizations of A and
+of N^T N run at once, one per CPU, and so do the four Lanczos runs of the two
+condition estimates (see solve). Each is the same computation as on one
+thread, so the results do not depend on the number of CPUs.
 
 A factorization is judged numerically singular when a leading minor is not
 positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
@@ -19,16 +26,19 @@ positive or the pivot ratio min diag(L)^2 / max diag(L)^2 falls below 1e-12
 estimate returns math.inf. Otherwise the extremal eigenvalues of the Gram
 matrix come from a fixed number of Lanczos steps each (_largest_eigenvalue):
 lambda_max on the matrix itself and 1/lambda_min on its inverse, applied
-through the same factor by LAPACK pbtrs.
+through the same factor by LAPACK dpbtrs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import linalg, sparse
+from scipy.linalg import cython_lapack
 from scipy.sparse import _sparsetools
 from scipy.sparse import linalg as sparse_linalg
 
@@ -60,6 +70,56 @@ _LANCZOS_STEPS = 24
 _GRAM_ROWS = 64
 
 
+def _lapack(name: str, *argtypes):
+    """LAPACK routine `name` of SciPy's own library, as a ctypes function.
+
+    SciPy publishes the routine's address in a capsule of
+    scipy.linalg.cython_lapack, whose name is the C signature. A ctypes
+    foreign call releases the interpreter lock for its duration.
+    """
+    py_api = ctypes.PYFUNCTYPE
+    get_name = py_api(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = py_api(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsule = cython_lapack.__pyx_capi__[name]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# uplo, n, kd, ab, ldab, info
+_dpbtrf = _lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+# uplo, n, kd, nrhs, ab, ldab, b, ldb, info
+_dpbtrs = _lapack(
+    "dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, ctypes.c_void_p, _INT,
+    ctypes.c_void_p, _INT, _INT,
+)
+
+
+def _call(routine, *args) -> int:
+    """routine(*args, info), returning info >= 0.
+
+    Integers are passed by reference and arrays, which must be
+    Fortran-ordered float64, by their data pointers. A negative info names
+    an invalid argument, which raises ValueError as SciPy's wrappers do.
+    """
+
+    def pointer(a):
+        if isinstance(a, np.ndarray):
+            if not (a.dtype == np.float64 and a.flags.f_contiguous):
+                raise ValueError("LAPACK takes Fortran-ordered float64 arrays")
+            return a.ctypes.data
+        return ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a
+
+    info = ctypes.c_int()
+    routine(*map(pointer, args), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of a LAPACK call")
+    return info.value
+
+
 class RankDeficientError(RuntimeError):
     """The normal system is numerically singular (unconstrained controls)."""
 
@@ -78,7 +138,8 @@ class SolveOptions:
 
     'cg' runs conjugate gradients to a relative residual of 1e-10, for at
     most maxiter iterations (10 * n_tot when None). The condition estimate
-    factors the normal matrix on either path, so a system whose band does not
+    factors the normal matrix on either path, and N^T N beside it when a
+    penalty is on, both bands held at once, so a system whose band does not
     fit in memory needs method='cg' and estimate_condition=False.
     """
 
@@ -162,13 +223,19 @@ def solve(
 
     rhs = system.rhs
     iterations = 0
-    factor = None
+    # the normal matrix is the Gram matrix of the stacked system
+    grams = [normal]
+    if opts.estimate_condition and scaled_penalty is not None:
+        grams.append(gram)
+    factors = []
     if opts.method == "direct" or opts.estimate_condition:
-        factor = _band_cholesky(normal)
-        if factor is None:
+        # the bands are built here and factored in place on the workers, whose
+        # own malloc arenas would keep the pages of bands built there
+        factors = _map_parallel(_band_factor, [_lower_band(g) for g in grams])
+        if factors[0] is None:
             raise _rank_deficient(system, "normal matrix is numerically singular")
     if opts.method == "direct":
-        controls = linalg.cho_solve_banded((factor, True), rhs, check_finite=False)
+        controls = _band_solve(factors[0], rhs)
     else:
         maxiter = opts.maxiter or 10 * system.n_tot
         cols = []
@@ -197,12 +264,9 @@ def solve(
 
     cond_data = cond_stacked = math.nan
     if opts.estimate_condition:
-        # the normal matrix is the Gram matrix of the stacked system
-        cond_stacked = _condition_from_gram(normal, factor)
-        if scaled_penalty is not None:
-            cond_data = _condition_from_gram(gram, _band_cholesky(gram))
-        else:
-            cond_data = cond_stacked
+        conditions = _conditions(grams, factors)
+        # without a penalty the two matrices are one
+        cond_stacked, cond_data = conditions[0], conditions[-1]
 
     report = FitReport(
         residual_norms=stacked_norms,
@@ -210,7 +274,7 @@ def solve(
         iterations=iterations,
         cond_stacked=cond_stacked,
         cond_data=cond_data,
-        rank_deficient=None if factor is None else math.isinf(cond_stacked),
+        rank_deficient=math.isinf(cond_stacked) if factors else None,
         method=opts.method,
         lambdas=system.lambdas,
     )
@@ -351,21 +415,23 @@ def condition_number(matrix, mode: str = "estimate") -> float:
 
     estimate mode works on the Gram matrix of the smaller side (A^T A or
     A A^T, whose eigenvalues are the squared singular values; _gram builds
-    either one, as it builds the solve's N^T N), factored in the order given:
-    a tensor-product fit matrix in lexicographic order has a narrow band, and
+    either one, as it builds the solve's N^T N), laid out by _lower_band and
+    factored by _band_factor, as in the solve, in the order given: a
+    tensor-product fit matrix in lexicographic order has a narrow band, and
     any other matrix costs n x bandwidth memory. It returns math.inf when the
     banded Cholesky factorization of the Gram matrix fails or its pivot
     ratio min diag(L)^2 / max diag(L)^2 is below 1e-12, the rule the solve
     uses to raise RankDeficientError. A sigma bound of 1e-13 would be a 1e-26
     bound on the Gram matrix, which double precision cannot resolve.
     Otherwise 24 Lanczos steps from a fixed start vector estimate lambda_max
-    of the Gram matrix and 24 more, through the factor, 1/lambda_min; the
-    result is sqrt(lambda_max / lambda_min), with the same 1e-13 bound on
-    sigma_min / sigma_max as exact mode. Both are Ritz values, never above
-    the eigenvalues they estimate beyond rounding, so neither is the
-    estimate above the exact condition number; for n columns, the chance
-    that either falls short by a relative eps is at most
-    1.648 sqrt(n) exp(-47 sqrt(eps)) (Kuczynski and Wozniakowski, 1992).
+    of the Gram matrix and 24 more, through the factor, 1/lambda_min, the
+    two runs at once on two CPUs (see _conditions); the result is
+    sqrt(lambda_max / lambda_min), with the same 1e-13 bound on sigma_min /
+    sigma_max as exact mode. Both are Ritz values, never above the
+    eigenvalues they estimate beyond rounding, so neither is the estimate
+    above the exact condition number; for n columns, the chance that either
+    falls short by a relative eps is at most 1.648 sqrt(n) exp(-47
+    sqrt(eps)) (Kuczynski and Wozniakowski, 1992).
     """
     matrix = sparse.csr_matrix(matrix)
     rows, cols = matrix.shape
@@ -383,7 +449,8 @@ def condition_number(matrix, mode: str = "estimate") -> float:
         return _condition_from_singular_values(float(svals[0]), float(svals[-1]))
     if mode == "estimate":
         gram = _gram(matrix if cols <= rows else matrix.T)
-        return _condition_from_gram(gram, _band_cholesky(gram))
+        (condition,) = _conditions([gram], [_band_factor(_lower_band(gram))])
+        return condition
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -393,49 +460,76 @@ def _condition_from_singular_values(smax: float, smin: float) -> float:
     return smax / smin
 
 
-def _band_cholesky(matrix):
-    """Lower banded Cholesky factor of a symmetric sparse matrix, or None.
+def _lower_band(matrix) -> np.ndarray:
+    """A symmetric sparse matrix's lower band, Fortran-ordered for LAPACK.
 
-    The bandwidth is the matrix's own, max(row - col) over its pattern; the
-    factor is in LAPACK lower band storage (row i holds diagonal -i). None
-    means numerically singular: a leading minor is not positive, or the
-    pivot ratio min diag(L)^2 / max diag(L)^2 is below _PIVOT_RATIO.
+    The bandwidth is the matrix's own, max(row - col) over its pattern; row
+    i of the (bandwidth + 1) x n array holds diagonal -i.
     """
     lower = sparse.tril(matrix, format="coo")
     offset = lower.row - lower.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, matrix.shape[0]))
+    band = np.zeros((int(offset.max(initial=0)) + 1, matrix.shape[0]), order="F")
     band[offset, lower.col] = lower.data
-    try:
-        factor = linalg.cholesky_banded(
-            band, lower=True, overwrite_ab=True, check_finite=False
-        )
-    except linalg.LinAlgError:
+    return band
+
+
+def _band_factor(band: np.ndarray) -> np.ndarray | None:
+    """band from _lower_band, factored in place by LAPACK dpbtrf, or None.
+
+    The lower Cholesky factor L overwrites the band, in the same storage.
+    None means numerically singular: a leading minor is not positive, or the
+    pivot ratio min diag(L)^2 / max diag(L)^2 is below _PIVOT_RATIO.
+    """
+    kd, n = band.shape[0] - 1, band.shape[1]
+    if _call(_dpbtrf, b"L", n, kd, band, kd + 1):
         return None
-    pivots = factor[0] ** 2
+    pivots = band[0] ** 2
     if not pivots.min() >= _PIVOT_RATIO * pivots.max():
         return None
-    return factor
+    return band
 
 
-def _condition_from_gram(gram, factor) -> float:
-    """sigma_max / sigma_min of any matrix whose Gram matrix is `gram`.
+def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs for one or more right-hand sides, A = L L^T, L = factor.
 
-    factor is _band_cholesky(gram); None marks gram numerically singular.
-    lambda_max comes from _largest_eigenvalue on gram's CSR product, and
-    1/lambda_min on the inverse, which LAPACK pbtrs applies with the factor,
-    fetched once per estimate (cho_solve_banded revalidates it per call).
+    A new Fortran-ordered array of rhs's shape, solved by LAPACK dpbtrs.
     """
-    if factor is None:
-        return math.inf
-    n = gram.shape[0]
-    pbtrs = linalg.get_lapack_funcs("pbtrs", (factor,))
-    lam_max = _largest_eigenvalue(gram.dot, n)
-    inv_lam_min = _largest_eigenvalue(lambda x: pbtrs(factor, x, lower=1)[0], n)
-    if not (lam_max > 0.0 and inv_lam_min > 0.0):
-        return math.inf
-    return _condition_from_singular_values(
-        math.sqrt(lam_max), 1.0 / math.sqrt(inv_lam_min)
-    )
+    x = np.array(rhs, dtype=float, order="F")
+    kd, n = factor.shape[0] - 1, factor.shape[1]
+    if x.shape[0] != n or x.ndim > 2:
+        raise ValueError(f"rhs of shape {x.shape} for a band of order {n}")
+    nrhs = x.shape[1] if x.ndim == 2 else 1
+    _call(_dpbtrs, b"L", n, kd, nrhs, factor, kd + 1, x, max(n, 1))
+    return x
+
+
+def _conditions(grams, factors) -> list[float]:
+    """sigma_max / sigma_min of each matrix whose Gram matrix is in grams.
+
+    Each factor is _band_factor(_lower_band(gram)); None marks gram
+    numerically singular, math.inf. Otherwise lambda_max comes from
+    _largest_eigenvalue on gram's CSR product, and 1/lambda_min on the
+    inverse, which _band_solve applies with the factor. The runs of every
+    matrix go to one _map_parallel call: each run is the same on any thread.
+    """
+    runs = []
+    for gram, factor in zip(grams, factors):
+        if factor is not None:
+            n = gram.shape[0]
+            runs += [(gram.dot, n), (partial(_band_solve, factor), n)]
+    estimates = iter(_map_parallel(lambda run: _largest_eigenvalue(*run), runs))
+
+    def condition(factor):
+        if factor is None:
+            return math.inf
+        lam_max, inv_lam_min = next(estimates), next(estimates)
+        if not (lam_max > 0.0 and inv_lam_min > 0.0):
+            return math.inf
+        return _condition_from_singular_values(
+            math.sqrt(lam_max), 1.0 / math.sqrt(inv_lam_min)
+        )
+
+    return [condition(factor) for factor in factors]
 
 
 def _largest_eigenvalue(apply, n: int) -> float:

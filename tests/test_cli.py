@@ -29,7 +29,7 @@ from scatterspline import (
 )
 from scatterspline import cli, datasets
 from scatterspline.cli import ModelFileError, load_model, main, save_model
-from scatterspline.datasets import grid_to_cloud
+from scatterspline.datasets import coords_digest, grid_to_cloud
 from scatterspline.solver import FitReport, fit_cloud
 
 
@@ -83,6 +83,7 @@ class TestModelFile:
         _, settings = load_model(path)
         assert settings["threshold"] is None
         assert settings["orders"] is None
+        assert settings["cloud_sha256"] is None
 
     @pytest.mark.parametrize(
         "threshold, orders, message",
@@ -101,6 +102,35 @@ class TestModelFile:
         with pytest.raises(ValueError, match=re.escape(message)):
             save_model(path, model, threshold=threshold, orders=orders)
         assert not path.exists()
+
+    def test_cloud_digest_round_trip(self, tmp_path):
+        # one optional line after orders; a load-save round trip keeps the bytes
+        model = random_model(seed=6)
+        digest = coords_digest(np.arange(12.0).reshape(6, 2))
+        path, again = tmp_path / "m.model", tmp_path / "again.model"
+        save_model(path, model, threshold=1.5, orders=(2,), cloud_sha256=digest)
+        lines = path.read_text().splitlines()
+        assert lines[lines.index("orders 2") + 1] == f"cloud_sha256 {digest}"
+        back, settings = load_model(path)
+        assert settings == {"threshold": 1.5, "orders": (2,), "cloud_sha256": digest}
+        save_model(again, back, **settings)
+        assert again.read_bytes() == path.read_bytes()
+        # the digest is of the float64 values, whatever their layout
+        coords = np.arange(12.0).reshape(2, 6).T.astype(">f8")
+        assert coords_digest(coords) == coords_digest(coords.copy(order="C"))
+        assert coords_digest(coords) != digest
+
+    @pytest.mark.parametrize("digest", ["ab" * 31, "AB" * 32, "ab" * 32 + " ff", "g" * 64])
+    def test_malformed_cloud_digest(self, tmp_path, digest):
+        model = random_model()
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="cloud_sha256"):
+            save_model(path, model, cloud_sha256=digest)
+        assert not path.exists()
+        save_model(path, model, cloud_sha256="ab" * 32)
+        path.write_text(path.read_text().replace("ab" * 32, digest))
+        with pytest.raises(ModelFileError, match="cloud_sha256"):
+            load_model(path)
 
     def test_version_line_present(self, tmp_path):
         model = random_model()
@@ -212,7 +242,7 @@ class TestModelFile:
         assert_array_equal(bits(back.knot_vectors[0].knots), bits(kv.knots))
         assert_array_equal(bits(back.bbox_min), bits(model.bbox_min))
         assert_array_equal(bits(back.bbox_max), bits(model.bbox_max))
-        assert settings == {"threshold": 0.1, "orders": (1,)}
+        assert settings == {"threshold": 0.1, "orders": (1,), "cloud_sha256": None}
         copy = tmp_path / "copy.model"
         save_model(copy, back, **settings)
         assert copy.read_bytes() == path.read_bytes()
@@ -883,6 +913,24 @@ class TestReport:
         assert len(err) == 1 and "bounding box differs from the model's" in err[0]
         assert not (tmp_path / "r.csv").exists()
         assert not (tmp_path / "lam.csv").exists()
+        # another cloud on the model's own box: a 20 x 25 grid against the
+        # fitted 30 x 30 one, told apart by the fitted cloud's digest
+        spline_csv(other, seed=34, grid=(20, 25))
+        assert np.array_equal(read_csv(other).bbox_max, cloud.bbox_max)
+        code = main(["report", "--model", str(model_path), "--reference", str(other),
+                     "--out", str(tmp_path / "r.csv"),
+                     "--lambda-out", str(tmp_path / "lam.csv")])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2
+        assert captured.out == ""
+        assert len(err) == 1 and "coordinates differ from the fitted cloud's" in err[0]
+        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "lam.csv").exists()
+        # the fitted cloud itself passes
+        assert main(["report", "--model", str(model_path), "--reference", str(data),
+                     "--lambda-out", str(tmp_path / "lam.csv")]) == 0
+        assert (tmp_path / "lam.csv").exists()
 
     def test_lambda_export_needs_recorded_settings(self, tmp_path, capsys):
         model = random_model()

@@ -1,12 +1,14 @@
 """Tests for the normal-system solvers and conditioning estimates."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
+from scipy import linalg, sparse
 
 from scatterspline import bsplines, solver
 from scatterspline.assembly import (
@@ -28,15 +30,22 @@ from scatterspline.solver import (
     NotConvergedError,
     RankDeficientError,
     SolveOptions,
-    _band_cholesky,
+    _band_factor,
+    _band_solve,
     _by_knot_cell,
     _largest_eigenvalue,
+    _lower_band,
     condition_number,
     fit_cloud,
     solve,
 )
 
 NO_COND = SolveOptions(estimate_condition=False)
+
+
+def band_cholesky(matrix):
+    """The lower band factor of a symmetric sparse matrix, or None if singular."""
+    return _band_factor(_lower_band(matrix))
 
 
 @st.composite
@@ -500,7 +509,7 @@ class TestBandCholesky:
     @pytest.mark.parametrize("degree", [1, 3])
     def test_bandwidth_of_fit_matrices(self, shape, degree):
         system = random_regularized_system(300, shape, degree, num_values=1)
-        factor = _band_cholesky(explicit_normal(system))
+        factor = band_cholesky(explicit_normal(system))
         expected = sum(
             degree * int(np.prod(shape[k + 1:])) for k in range(len(shape))
         )
@@ -508,9 +517,176 @@ class TestBandCholesky:
 
     def test_singular_matrix_gives_none(self):
         ones = sparse.csr_matrix(np.ones((4, 4)))
-        assert _band_cholesky(ones) is None
-        assert _band_cholesky(sparse.diags([1.0, 1e-13, 1.0]).tocsr()) is None
-        assert _band_cholesky(sparse.diags([1.0, 1e-11, 1.0]).tocsr()) is not None
+        assert band_cholesky(ones) is None
+        assert band_cholesky(sparse.diags([1.0, 1e-13, 1.0]).tocsr()) is None
+        assert band_cholesky(sparse.diags([1.0, 1e-11, 1.0]).tocsr()) is not None
+
+
+def spd_band(rng, n, kd):
+    """A diagonally dominant symmetric band in lower storage, Fortran-ordered."""
+    band = np.vstack([np.full(n, 2.0 * kd + 2.0)] + [rng.uniform(-1, 1, n) for _ in range(kd)])
+    for k in range(1, kd + 1):
+        band[k, n - k:] = 0.0  # outside the matrix
+    return np.asfortranarray(band)
+
+
+class TestLapackBinding:
+    # dpbtrf factors a band of at most 32 diagonals unblocked (dpbtf2) and a
+    # wider one in blocks through level-3 BLAS
+    @pytest.mark.parametrize("kd", [0, 20, 32, 33, 100])
+    def test_equals_scipy_bit_for_bit(self, kd):
+        rng = np.random.default_rng(130 + kd)
+        band = spd_band(rng, 400, kd)
+        expected = linalg.cholesky_banded(band, lower=True)
+        factor = _band_factor(band)
+        assert factor is band  # factored in place
+        np.testing.assert_array_equal(factor, expected)
+        for rhs in (rng.standard_normal(400), rng.standard_normal((400, 1)),
+                    rng.standard_normal((400, 2))):
+            solved = _band_solve(factor, rhs)
+            assert solved.shape == rhs.shape and solved.flags.f_contiguous
+            np.testing.assert_array_equal(
+                solved, linalg.cho_solve_banded((expected, True), rhs)
+            )
+            assert not np.shares_memory(solved, rhs)
+
+    @pytest.mark.parametrize("kd", [2, 40])
+    def test_not_positive_definite_gives_none(self, kd):
+        rng = np.random.default_rng(140 + kd)
+        for minor in (0, 7, 399):  # the first, an inner and the last leading minor
+            band = spd_band(rng, 400, kd)
+            band[0, minor] = -1.0
+            assert _band_factor(band) is None
+
+    def test_factor_releases_the_interpreter_lock(self):
+        # a grid3d-sized band (12^3 cubic controls, bandwidth 471). While the
+        # worker is inside dpbtrf, the main thread's loop keeps counting. The
+        # long switch interval keeps it from taking the lock any other way
+        # (NumPy releases it too, so the worker calls LAPACK alone): a call
+        # that held the lock would read 0.
+        band = spd_band(np.random.default_rng(150), 12**3, 471)
+        count = 0
+        seen = []
+
+        def factor():
+            before = count
+            info = solver._call(solver._dpbtrf, b"L", band.shape[1], 471, band, 472)
+            seen.append(count - before)
+            assert info == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(0.1)
+        try:
+            worker = threading.Thread(target=factor)
+            worker.start()
+            while worker.is_alive():
+                count += 1
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert len(seen) == 1 and seen[0] >= 1000
+
+    def test_refuses_arrays_lapack_would_misread(self):
+        factor = _band_factor(spd_band(np.random.default_rng(151), 50, 3))
+        with pytest.raises(ValueError, match="rhs of shape"):
+            _band_solve(factor, np.ones(49))
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            _band_factor(np.ascontiguousarray(spd_band(np.random.default_rng(152), 50, 3)))
+
+
+def recorded_schedule(monkeypatch):
+    """The item counts of solver's _map_parallel calls, in call order."""
+    counts = []
+
+    def recording_map(func, items):
+        items = list(items)
+        counts.append(len(items))
+        return bsplines._map_parallel(func, items)
+
+    monkeypatch.setattr(solver, "_map_parallel", recording_map)
+    return counts
+
+
+def uniform_cloud(rng, d, m):
+    coords = rng.uniform(0.0, 1.0, (m, d))
+    return PointCloud(coords, np.sin(3.0 * coords.sum(axis=1)), np.zeros(d), np.ones(d))
+
+
+def two_void_cloud():
+    """The benchmark's voids2d cloud at sparsity 0.02: its Gram matrix is singular."""
+    voids = tuple(
+        VoidSpec(center, 1.5 * math.pi, 0.02)
+        for center in ((-2 * math.pi, -2 * math.pi), (2 * math.pi, 2 * math.pi))
+    )
+    return generate_polysinc_cloud(SynthConfig(count=30_000, seed=1, voids=voids))
+
+
+class TestSchedule:
+    """solve factors both bands, then runs every Lanczos run, on the workers."""
+
+    # uniform clouds, so the data Gram matrix is nonsingular too, with the
+    # penalty on for about half of the controls
+    CASES = [
+        pytest.param(2, FitConfig(3, (7, 6), threshold=60.0), None, id="2d"),
+        # band 3 * 36 + 3 * 6 + 3 = 129, factored in blocks
+        pytest.param(3, FitConfig(3, (6, 6, 6), threshold=15.0), None, id="3d-wide-band"),
+        pytest.param(2, FitConfig(3, (7, 6)), None, id="threshold-0"),
+        pytest.param(2, FitConfig(3, (7, 6), threshold=60.0), SolveOptions(method="cg"),
+                     id="cg"),
+    ]
+
+    @pytest.mark.parametrize("d, config, opts", CASES)
+    def test_same_bits_on_any_worker_count(self, monkeypatch, d, config, opts):
+        cloud = uniform_cloud(np.random.default_rng(160), d, 1000 * (d + 1))
+        penalized = config.threshold > 0
+        fits = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+            with pytest.MonkeyPatch.context() as patch:
+                schedule = recorded_schedule(patch)
+                model, report = fit_cloud(cloud, config, opts)
+            # the Gram blocks, the band factors, the Lanczos runs
+            assert schedule[1:] == ([2, 4] if penalized else [1, 2])
+            fits.append((model.controls, report.cond_stacked, report.cond_data))
+        assert math.isfinite(fits[0][1]) and math.isfinite(fits[0][2])
+        for controls, cond_stacked, cond_data in fits[1:]:
+            np.testing.assert_array_equal(controls, fits[0][0])
+            assert (cond_stacked, cond_data) == fits[0][1:]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_normal_factor_failure_keeps_its_message(self, monkeypatch, workers):
+        # the data factor runs beside the failing normal one; the error is the
+        # normal factor's, as when the data factor ran after the solve
+        monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(3)
+        cloud = PointCloud(rng.uniform(size=(10, 2)), rng.uniform(size=10))
+        config = FitConfig(degree=3, shape=(6, 6), threshold=1e-6, orders=(2,))
+        schedule = recorded_schedule(monkeypatch)
+        with pytest.raises(RankDeficientError) as raised:
+            fit_cloud(cloud, config)
+        assert str(raised.value) == (
+            "normal matrix is numerically singular; "
+            "raise the regularization threshold above its current 1e-06"
+        )
+        assert schedule[1:] == [2]
+
+    def test_singular_data_gram_alone(self, monkeypatch):
+        cloud = two_void_cloud()
+        config = FitConfig(degree=4, shape=(48, 48), threshold=1.0, orders=(2,))
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(bsplines, "_worker_count", lambda: workers)
+            with pytest.MonkeyPatch.context() as patch:
+                schedule = recorded_schedule(patch)
+                model, report = fit_cloud(cloud, config)
+            # the singular data factor has no Lanczos runs
+            assert schedule[1:] == [2, 2]
+            assert report.cond_data == math.inf and math.isfinite(report.cond_stacked)
+            assert report.rank_deficient is False
+            fits.append((model.controls, report.cond_stacked))
+        np.testing.assert_array_equal(fits[1][0], fits[0][0])
+        assert fits[1][1] == fits[0][1]
 
 
 def unsorted_csr(rng, rows, cols, density, integers=False):
@@ -825,9 +1001,9 @@ class TestConditionNumber:
         cloud = PointCloud(rng.uniform(0, 1, (3000, 2)), rng.normal(size=3000))
         colloc = assemble_system(cloud, FitConfig(degree=3, shape=(10, 10))).collocation
         factored = []
-        band_cholesky = solver._band_cholesky
+        lower_band = solver._lower_band
         monkeypatch.setattr(
-            solver, "_band_cholesky", lambda m: factored.append(m) or band_cholesky(m)
+            solver, "_lower_band", lambda m: factored.append(m) or lower_band(m)
         )
         estimate = condition_number(colloc, mode="estimate")
         gram = (colloc.T @ colloc).tocsr()
